@@ -1,6 +1,7 @@
 // Scalar vs. batch vs. SIMD ingestion cost for every hot-path operator
 // (sliding DFT, AGMS / Fast-AGMS sketches, counting Bloom filter, window
-// stores).
+// stores), plus the DFTT receiver's summary math (reconstruction,
+// lag-max correlation, the CoeffStore membership index).
 //
 // Each operator runs the same value/key stream through three paths:
 //   scalar  the tuple-at-a-time reference path
@@ -15,6 +16,15 @@
 // count_window, tuple_store insert+evict) run the same code in both batch
 // and simd columns; the tuple_store probe rows dispatch the §16 match-scan
 // kernels.
+//
+// The summary-math rows (reconstruct_rounded, lag_max_correlation,
+// coeff_store) run at W=2048, K=8 — DFTT's default window and kappa=256 —
+// and count one call as an item. Their scalar column is the dense
+// reference: the full-length inverse of the zero-filled spectrum and, for
+// coeff_store, a key -> count hash map probed once per key of the
+// tolerance band. Their batch and simd columns time the library path (the
+// input-pruned low-pass inverse, the sorted index), which uses no simd::
+// kernel, so only the scalar-vs-batch ratio is gated.
 //
 // Flags:
 //   --quick      fewer configs, shorter timing windows (CI smoke)
@@ -35,11 +45,15 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/common/simd.hpp"
+#include "dsjoin/core/summary_state.hpp"
+#include "dsjoin/dsp/compression.hpp"
 #include "dsjoin/dsp/sliding_dft.hpp"
+#include "dsjoin/dsp/spectrum.hpp"
 #include "dsjoin/sketch/agms.hpp"
 #include "dsjoin/sketch/bloom.hpp"
 #include "dsjoin/stream/tuple.hpp"
@@ -420,6 +434,141 @@ Entry bench_tuple_store_collect(double min_time_s) {
   return e;
 }
 
+// DFTT's operating point: W=2048, kappa=256.
+constexpr std::uint32_t kSummaryWindow = 2048;
+constexpr std::uint32_t kSummaryRetained = 8;
+constexpr std::int64_t kSummaryTolerance = 32;  // SystemConfig default
+
+// A smooth key-valued window (random walk) compressed to K coefficients.
+dsp::CompressedSpectrum summary_spectrum(std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  std::vector<double> signal(kSummaryWindow);
+  double x = 50000.0;
+  for (auto& v : signal) {
+    x += rng.next_double_in(-30.0, 30.0);
+    v = x;
+  }
+  return dsp::compress(signal, static_cast<double>(kSummaryWindow) / kSummaryRetained,
+                       dsp::Fft::plan(kSummaryWindow));
+}
+
+std::string summary_config() {
+  return "W=" + std::to_string(kSummaryWindow) +
+         " K=" + std::to_string(kSummaryRetained);
+}
+
+// Dense reference: every bin of the zero-filled mirrored spectrum through
+// the full-length inverse.
+void dense_inverse_truncated(const dsp::CompressedSpectrum& spectrum,
+                             std::vector<dsp::Complex>& full) {
+  const std::size_t w = spectrum.window;
+  full.assign(w, dsp::Complex{});
+  full[0] = spectrum.coeffs[0];
+  for (std::size_t k = 1; k < spectrum.coeffs.size(); ++k) {
+    full[k] = spectrum.coeffs[k];
+    if (w - k != k) full[w - k] = std::conj(spectrum.coeffs[k]);
+  }
+  dsp::Fft::plan(w).inverse(full);
+}
+
+Entry bench_reconstruct(double min_time_s) {
+  Entry e;
+  e.op = "reconstruct_rounded";
+  e.config = summary_config();
+  e.batch_size = 1;
+  const auto spectrum = summary_spectrum(21);
+  std::vector<dsp::Complex> full;
+  std::vector<std::int64_t> out(kSummaryWindow);
+  volatile std::int64_t sink = 0;
+  e.scalar_ns = measure_ns_per_item(1, min_time_s, [&] {
+    dense_inverse_truncated(spectrum, full);
+    for (std::size_t n = 0; n < full.size(); ++n) out[n] = std::llround(full[n].real());
+    sink = sink + out[0];
+  });
+  measure_batch_and_simd(e, 1, min_time_s, [] {}, [&] {
+    dsp::reconstruct_rounded(spectrum, out);
+    sink = sink + out[0];
+  });
+  return e;
+}
+
+Entry bench_lag_correlation(double min_time_s) {
+  Entry e;
+  e.op = "lag_max_correlation";
+  e.config = summary_config();
+  e.batch_size = 1;
+  const auto x = summary_spectrum(22);
+  const auto y = summary_spectrum(23);
+  std::vector<dsp::Complex> full;
+  volatile double sink = 0.0;
+  e.scalar_ns = measure_ns_per_item(1, min_time_s, [&] {
+    full.assign(kSummaryWindow, dsp::Complex{});
+    for (std::size_t k = 1; k < kSummaryRetained; ++k) {
+      const dsp::Complex s = x.coeffs[k] * std::conj(y.coeffs[k]);
+      full[k] = s;
+      full[kSummaryWindow - k] = std::conj(s);
+    }
+    dsp::Fft::plan(kSummaryWindow).inverse(full);
+    double best = 0.0;
+    for (const auto& v : full) best = std::max(best, std::abs(v));
+    sink = sink + best;
+  });
+  measure_batch_and_simd(e, 1, min_time_s, [] {}, [&] {
+    sink = sink + dsp::lag_max_correlation(x.coeffs, y.coeffs, kSummaryWindow).rho;
+  });
+  return e;
+}
+
+// One coefficient update (invalidating the index) per kProbes membership
+// estimates, about the probe-to-rebuild ratio of a DFTT simulation.
+Entry bench_coeff_store(double min_time_s) {
+  constexpr std::size_t kProbes = 64;
+  Entry e;
+  e.op = "coeff_store";
+  e.config = summary_config() + " rebuild+" + std::to_string(kProbes);
+  e.batch_size = kProbes;
+  const auto spectrum = summary_spectrum(24);
+  std::vector<dsp::CoeffDelta> deltas;
+  for (std::uint32_t k = 0; k < kSummaryRetained; ++k) {
+    deltas.push_back(dsp::CoeffDelta{k, spectrum.coeffs[k]});
+  }
+  std::vector<std::int64_t> keys(kProbes);
+  common::Xoshiro256 rng(25);
+  const double mean = spectrum.coeffs[0].real() / kSummaryWindow;
+  for (auto& k : keys) k = std::llround(mean + rng.next_double_in(-400.0, 400.0));
+
+  std::vector<dsp::Complex> full;
+  std::unordered_map<std::int64_t, std::uint32_t> counts;
+  volatile std::uint64_t sink = 0;
+  e.scalar_ns = measure_ns_per_item(kProbes, min_time_s, [&] {
+    dense_inverse_truncated(spectrum, full);
+    counts.clear();
+    for (const auto& v : full) ++counts[std::llround(v.real())];
+    std::uint64_t total = 0;
+    for (std::int64_t key : keys) {
+      for (std::int64_t k = key - kSummaryTolerance; k <= key + kSummaryTolerance; ++k) {
+        const auto it = counts.find(k);
+        if (it != counts.end()) total += it->second;
+      }
+    }
+    sink = sink + total;
+  });
+
+  std::optional<core::CoeffStore> store;
+  measure_batch_and_simd(
+      e, kProbes, min_time_s,
+      [&] { store.emplace(kSummaryWindow, kSummaryRetained); },
+      [&] {
+        store->apply(deltas);
+        std::uint64_t total = 0;
+        for (std::int64_t key : keys) {
+          total += store->estimate_count(key, kSummaryTolerance);
+        }
+        sink = sink + total;
+      });
+  return e;
+}
+
 void write_json(const std::vector<Entry>& entries, const std::string& path) {
   const char* level = common::simd::level_name(common::simd::detected_level());
   std::ofstream out(path);
@@ -482,6 +631,9 @@ int main(int argc, char** argv) {
     entries.push_back(bench_tuple_store(min_time_s));
     entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
+    entries.push_back(bench_reconstruct(min_time_s));
+    entries.push_back(bench_lag_correlation(min_time_s));
+    entries.push_back(bench_coeff_store(min_time_s));
   } else {
     entries.push_back(bench_sliding_dft(2048, 8, min_time_s));
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
@@ -500,14 +652,17 @@ int main(int argc, char** argv) {
     entries.push_back(bench_tuple_store(min_time_s));
     entries.push_back(bench_tuple_store_probe(min_time_s));
     entries.push_back(bench_tuple_store_collect(min_time_s));
+    entries.push_back(bench_reconstruct(min_time_s));
+    entries.push_back(bench_lag_correlation(min_time_s));
+    entries.push_back(bench_coeff_store(min_time_s));
   }
 
-  std::printf("%-16s %-22s %12s %12s %12s %9s %9s\n", "operator", "config",
+  std::printf("%-20s %-22s %12s %12s %12s %9s %9s\n", "operator", "config",
               "scalar ns/it", "batch ns/it", "simd ns/it", "speedup",
               "simd spd");
   bool regression = false;
   for (const Entry& e : entries) {
-    std::printf("%-16s %-22s %12.2f %12.2f %12.2f %8.2fx %8.2fx\n",
+    std::printf("%-20s %-22s %12.2f %12.2f %12.2f %8.2fx %8.2fx\n",
                 e.op.c_str(), e.config.c_str(), e.scalar_ns, e.batch_ns,
                 e.simd_ns, e.speedup(), e.simd_speedup());
     if (e.gate_batch && e.speedup() < 0.9) regression = true;

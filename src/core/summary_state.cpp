@@ -1,5 +1,6 @@
 #include "dsjoin/core/summary_state.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -426,22 +427,63 @@ void CoeffStore::apply(const std::vector<dsp::CoeffDelta>& deltas) {
   }
 }
 
-void CoeffStore::rebuild() {
-  counts_.clear();
-  for (std::int64_t v : dsp::reconstruct_rounded(spectrum_)) {
-    ++counts_[v];
+namespace {
+
+// Sorts a rounded reconstruction. A window low-passed to K bins is a
+// trigonometric polynomial with at most 2K - 2 extrema, so its samples form
+// a few monotone runs: a natural merge sort (reverse the descending runs,
+// then merge neighbours pass by pass) orders them in a few linear passes
+// where a comparison sort takes log2(W). The merge buffers are per thread,
+// like the transform scratch, so steady-state rebuilds allocate nothing.
+void sort_runs(std::vector<std::int64_t>& values) {
+  thread_local std::vector<std::int64_t> merged;
+  thread_local std::vector<std::size_t> bounds;  // run i is [bounds[i], bounds[i+1])
+  const std::size_t n = values.size();
+  bounds.assign(1, 0);
+  for (std::size_t i = 0; i < n;) {
+    std::size_t j = i + 1;
+    if (j < n && values[j] < values[i]) {
+      while (j < n && values[j] <= values[j - 1]) ++j;
+      std::reverse(values.begin() + static_cast<std::ptrdiff_t>(i),
+                   values.begin() + static_cast<std::ptrdiff_t>(j));
+    } else {
+      while (j < n && values[j] >= values[j - 1]) ++j;
+    }
+    bounds.push_back(j);
+    i = j;
   }
+  merged.resize(n);
+  std::int64_t* from = values.data();
+  std::int64_t* to = merged.data();
+  while (bounds.size() > 2) {
+    std::size_t kept = 1;
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const std::size_t end = r + 2 < bounds.size() ? bounds[r + 2] : bounds[r + 1];
+      std::merge(from + bounds[r], from + bounds[r + 1], from + bounds[r + 1],
+                 from + end, to + bounds[r]);
+      bounds[kept++] = end;
+    }
+    bounds.resize(kept);
+    std::swap(from, to);
+  }
+  if (from != values.data()) std::copy(from, from + n, values.data());
+}
+
+}  // namespace
+
+void CoeffStore::rebuild() {
+  sorted_.resize(spectrum_.window);
+  dsp::reconstruct_rounded(spectrum_, sorted_);
+  sort_runs(sorted_);
   dirty_ = false;
 }
 
 std::uint64_t CoeffStore::estimate_count(std::int64_t key, std::int64_t tolerance) {
+  if (tolerance < 0) return 0;
   if (dirty_) rebuild();
-  std::uint64_t total = 0;
-  for (std::int64_t k = key - tolerance; k <= key + tolerance; ++k) {
-    const auto it = counts_.find(k);
-    if (it != counts_.end()) total += it->second;
-  }
-  return total;
+  const auto lo = std::lower_bound(sorted_.begin(), sorted_.end(), key - tolerance);
+  const auto hi = std::upper_bound(lo, sorted_.end(), key + tolerance);
+  return static_cast<std::uint64_t>(hi - lo);
 }
 
 bool BloomStore::contains(std::int64_t key, std::int64_t tolerance) const {

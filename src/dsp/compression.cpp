@@ -25,31 +25,59 @@ CompressedSpectrum compress(std::span<const double> signal, double kappa,
   return out;
 }
 
-std::vector<double> reconstruct(const CompressedSpectrum& spectrum) {
+namespace {
+
+// The zero-filled conjugate-symmetric spectrum, inverted in the calling
+// thread's scratch buffer (Eq. 10 with the mirrored truncation).
+std::span<const Complex> invert_truncated(const CompressedSpectrum& spectrum) {
   const std::size_t w = spectrum.window;
   assert(w >= 2);
   assert(spectrum.coeffs.size() <= w / 2 + 1);
-  std::vector<Complex> full(w, Complex{});
-  full[0] = spectrum.coeffs.empty() ? Complex{} : spectrum.coeffs[0];
+  std::span<Complex> full = thread_scratch(w);
+  std::fill(full.begin(), full.end(), Complex{});
+  if (!spectrum.coeffs.empty()) full[0] = spectrum.coeffs[0];
   for (std::size_t k = 1; k < spectrum.coeffs.size(); ++k) {
     full[k] = spectrum.coeffs[k];
     // Mirror; at k == w/2 (Nyquist, even w) the mirror is the same slot and
     // the coefficient of a real signal is already real.
     if (w - k != k) full[w - k] = std::conj(spectrum.coeffs[k]);
   }
-  const Fft& fft = Fft::plan(w);
-  fft.inverse(full);
-  std::vector<double> out(w);
-  for (std::size_t n = 0; n < w; ++n) out[n] = full[n].real();
+  Fft::plan(w).inverse_lowpass(full, spectrum.coeffs.size());
+  return full;
+}
+
+// std::llround without the library call: half away from zero. For
+// |x| < 2^52 the cast truncates exactly and x - trunc(x) is the exact
+// fraction (Sterbenz), so the result is llround's; larger, infinite and NaN
+// inputs take the library call.
+std::int64_t round_half_away(double x) {
+  if (!(std::abs(x) < 0x1p52)) return std::llround(x);
+  const auto t = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(t);
+  return t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+}
+
+}  // namespace
+
+std::vector<double> reconstruct(const CompressedSpectrum& spectrum) {
+  const std::span<const Complex> full = invert_truncated(spectrum);
+  std::vector<double> out(full.size());
+  for (std::size_t n = 0; n < full.size(); ++n) out[n] = full[n].real();
   return out;
 }
 
-std::vector<std::int64_t> reconstruct_rounded(const CompressedSpectrum& spectrum) {
-  const std::vector<double> values = reconstruct(spectrum);
-  std::vector<std::int64_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(std::llround(values[i]));
+void reconstruct_rounded(const CompressedSpectrum& spectrum,
+                         std::span<std::int64_t> out) {
+  const std::span<const Complex> full = invert_truncated(spectrum);
+  assert(out.size() == full.size());
+  for (std::size_t n = 0; n < full.size(); ++n) {
+    out[n] = round_half_away(full[n].real());
   }
+}
+
+std::vector<std::int64_t> reconstruct_rounded(const CompressedSpectrum& spectrum) {
+  std::vector<std::int64_t> out(spectrum.window);
+  reconstruct_rounded(spectrum, out);
   return out;
 }
 

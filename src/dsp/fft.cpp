@@ -35,28 +35,76 @@ std::vector<Complex> make_twiddles(std::size_t n) {
   return tw;
 }
 
-// Core iterative radix-2 transform over precomputed tables. `invert` flips
-// the twiddle sign; scaling is the caller's responsibility.
+// One radix-2 butterfly pass over a block: `lo` and `hi` are the block's two
+// halves (`half` complex values each, interleaved re/im — the standard lets
+// an array of std::complex<double> be accessed as doubles), twiddle j of the
+// block is tw[j * step]. The arithmetic is the fast path of the std::complex
+// multiply, operation for operation (v = hi * w, then u +/- v), on raw
+// doubles; the inverse conjugates the twiddle by exact negation. Scaled
+// multiplies both outputs by `scale` after the add, as a separate scaling
+// pass over the stored results would.
+template <bool Invert, bool Scaled>
+inline void butterfly_block(double* __restrict lo, double* __restrict hi,
+                            const double* __restrict tw, std::size_t half,
+                            std::size_t step, double scale) {
+  for (std::size_t j = 0; j < half; ++j) {
+    const double wr = tw[2 * j * step];
+    const double wi = Invert ? -tw[2 * j * step + 1] : tw[2 * j * step + 1];
+    const double xr = hi[2 * j];
+    const double xi = hi[2 * j + 1];
+    const double vr = xr * wr - xi * wi;
+    const double vi = xr * wi + xi * wr;
+    const double ur = lo[2 * j];
+    const double ui = lo[2 * j + 1];
+    if constexpr (Scaled) {
+      lo[2 * j] = (ur + vr) * scale;
+      lo[2 * j + 1] = (ui + vi) * scale;
+      hi[2 * j] = (ur - vr) * scale;
+      hi[2 * j + 1] = (ui - vi) * scale;
+    } else {
+      lo[2 * j] = ur + vr;
+      lo[2 * j + 1] = ui + vi;
+      hi[2 * j] = ur - vr;
+      hi[2 * j + 1] = ui - vi;
+    }
+  }
+}
+
+// Butterflies of one stage (block length `len`) on the block starting at
+// complex index `start`.
+template <bool Invert, bool Scaled>
+inline void stage_block(double* d, const double* tw, std::size_t n,
+                        std::size_t len, std::size_t start, double scale) {
+  const std::size_t half = len >> 1;
+  butterfly_block<Invert, Scaled>(d + 2 * start, d + 2 * (start + half), tw,
+                                  half, n / len, scale);
+}
+
+// Every block of the stages from block length `len` up to n. Scaled folds
+// `scale` into the last stage (the inverse's exact 2^-n).
+template <bool Invert, bool Scaled>
+void dense_stages(double* d, const double* tw, std::size_t n, std::size_t len,
+                  double scale) {
+  for (; len < n; len <<= 1) {
+    for (std::size_t start = 0; start < n; start += len) {
+      stage_block<Invert, false>(d, tw, n, len, start, 1.0);
+    }
+  }
+  if (n >= 2) stage_block<Invert, Scaled>(d, tw, n, n, 0, scale);
+}
+
+// Core iterative radix-2 transform over precomputed tables. Invert flips
+// the twiddle sign; without Scaled, scaling is the caller's responsibility.
+template <bool Invert, bool Scaled = false>
 void radix2(std::span<Complex> data, const std::vector<std::size_t>& rev,
-            const std::vector<Complex>& twiddles, bool invert) {
+            const std::vector<Complex>& twiddles, double scale = 1.0) {
   const std::size_t n = data.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i < rev[i]) std::swap(data[i], data[rev[i]]);
   }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len >> 1;
-    const std::size_t step = n / len;  // stride into the size-n twiddle table
-    for (std::size_t start = 0; start < n; start += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        Complex w = twiddles[j * step];
-        if (invert) w = std::conj(w);
-        const Complex u = data[start + j];
-        const Complex v = data[start + j + half] * w;
-        data[start + j] = u + v;
-        data[start + j + half] = u - v;
-      }
-    }
-  }
+  dense_stages<Invert, Scaled>(reinterpret_cast<double*>(data.data()),
+                               reinterpret_cast<const double*>(twiddles.data()),
+                               n, 2, scale);
 }
 
 }  // namespace
@@ -112,7 +160,7 @@ Fft::Fft(std::size_t size) : size_(size), pow2_(is_power_of_two(size)) {
     kernel[n] = std::conj(chirp_[n]);
     kernel[conv_size_ - n] = std::conj(chirp_[n]);
   }
-  radix2(kernel, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
+  radix2<false>(kernel, conv_bit_reversal_, conv_twiddles_);
   chirp_spectrum_ = std::move(kernel);
 }
 
@@ -120,7 +168,7 @@ void Fft::forward(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
   if (pow2_) {
-    transform_pow2(data, /*invert=*/false);
+    radix2<false>(data, bit_reversal_, twiddles_);
   } else {
     transform_bluestein(data, /*invert=*/false);
   }
@@ -129,17 +177,53 @@ void Fft::forward(std::span<Complex> data) const {
 void Fft::inverse(std::span<Complex> data) const {
   assert(data.size() == size_);
   if (size_ == 1) return;
-  if (pow2_) {
-    transform_pow2(data, /*invert=*/true);
-  } else {
-    transform_bluestein(data, /*invert=*/true);
-  }
   const double scale = 1.0 / static_cast<double>(size_);
+  if (pow2_) {
+    radix2<true, true>(data, bit_reversal_, twiddles_, scale);
+    return;
+  }
+  transform_bluestein(data, /*invert=*/true);
   for (auto& v : data) v *= scale;
 }
 
-void Fft::transform_pow2(std::span<Complex> data, bool invert) const {
-  radix2(data, bit_reversal_, twiddles_, invert);
+void Fft::inverse_lowpass(std::span<Complex> data, std::size_t bins) const {
+  assert(data.size() == size_);
+  const std::size_t n = size_;
+  if (bins == 0) return;  // all zero in, all zero out
+  // Dense unless some stage has a block without input: at the first stage
+  // the n/2 two-point blocks must outnumber the 2*bins - 1 nonzero inputs.
+  if (!pow2_ || 2 * bins - 1 >= n / 2) {
+    inverse(data);
+    return;
+  }
+  // Move the 2*bins - 1 inputs to their bit-reversed slots. Every other
+  // slot holds zero, so a swap with a slot outside the support is a move,
+  // and a pair inside it is swapped once (from its smaller index).
+  const auto in_support = [&](std::size_t i) { return i < bins || i > n - bins; };
+  const auto place = [&](std::size_t i) {
+    const std::size_t r = bit_reversal_[i];
+    if (i < r || (r != i && !in_support(r))) std::swap(data[i], data[r]);
+  };
+  for (std::size_t i = 0; i < bins; ++i) place(i);
+  for (std::size_t i = n - bins + 1; i < n; ++i) place(i);
+  // At the stage with block length len there are m = n/len blocks, and the
+  // block starting at slot bit_reversal_[r] (r < m) holds exactly the inputs
+  // whose index is r mod m. The support [-(bins-1), bins-1] mod n therefore
+  // touches the blocks of residues r < bins and r > m - bins; while those
+  // are fewer than m, the other blocks hold only zeros and are skipped.
+  double* d = reinterpret_cast<double*>(data.data());
+  const double* tw = reinterpret_cast<const double*>(twiddles_.data());
+  std::size_t len = 2;
+  for (; 2 * bins - 1 < n / len; len <<= 1) {
+    const std::size_t m = n / len;
+    for (std::size_t r = 0; r < bins; ++r) {
+      stage_block<true, false>(d, tw, n, len, bit_reversal_[r], 1.0);
+    }
+    for (std::size_t r = m - bins + 1; r < m; ++r) {
+      stage_block<true, false>(d, tw, n, len, bit_reversal_[r], 1.0);
+    }
+  }
+  dense_stages<true, true>(d, tw, n, len, 1.0 / static_cast<double>(n));
 }
 
 void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
@@ -150,9 +234,9 @@ void Fft::transform_bluestein(std::span<Complex> data, bool invert) const {
   }
   std::vector<Complex> a(conv_size_, Complex{});
   for (std::size_t n = 0; n < size_; ++n) a[n] = data[n] * chirp_[n];
-  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/false);
+  radix2<false>(a, conv_bit_reversal_, conv_twiddles_);
   for (std::size_t i = 0; i < conv_size_; ++i) a[i] *= chirp_spectrum_[i];
-  radix2(a, conv_bit_reversal_, conv_twiddles_, /*invert=*/true);
+  radix2<true>(a, conv_bit_reversal_, conv_twiddles_);
   const double scale = 1.0 / static_cast<double>(conv_size_);
   for (std::size_t k = 0; k < size_; ++k) {
     data[k] = a[k] * scale * chirp_[k];
@@ -207,6 +291,12 @@ std::vector<Complex> Fft::forward_real(std::span<const double> signal) const {
     out[k] = std::conj(out[size_ - k]);
   }
   return out;
+}
+
+std::span<Complex> thread_scratch(std::size_t n) {
+  thread_local std::vector<Complex> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return {buffer.data(), n};
 }
 
 std::vector<Complex> direct_dft(std::span<const Complex> input) {

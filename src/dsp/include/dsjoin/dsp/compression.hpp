@@ -53,7 +53,13 @@ CompressedSpectrum compress(std::span<const double> signal, double kappa,
 std::vector<double> reconstruct(const CompressedSpectrum& spectrum);
 
 /// Reconstructs and rounds each sample to the nearest integer — the final
-/// approximated attribute multiset of Section 5.3.
+/// approximated attribute multiset of Section 5.3. Writes out[n] for all W
+/// samples (out.size() must equal the window) and allocates nothing in
+/// steady state.
+void reconstruct_rounded(const CompressedSpectrum& spectrum,
+                         std::span<std::int64_t> out);
+
+/// Allocating convenience form of the above.
 std::vector<std::int64_t> reconstruct_rounded(const CompressedSpectrum& spectrum);
 
 /// Per-sample squared reconstruction errors (Figure 5's series).

@@ -32,8 +32,10 @@ std::size_t next_power_of_two(std::size_t n) noexcept;
 
 /// A transform plan for one fixed size. Construction precomputes twiddle
 /// tables (and, for non-power-of-two sizes, the Bluestein chirp and its
-/// convolution spectrum); execution is allocation-free for power-of-two
-/// sizes and reuses internal scratch otherwise.
+/// convolution spectrum). A plan is immutable after construction, so one
+/// plan may serve several threads. Execution is allocation-free for
+/// power-of-two sizes; a Bluestein transform allocates its
+/// convolution-length work buffer on every call.
 class Fft {
  public:
   /// @param size transform length, >= 1. Any size is accepted; power-of-two
@@ -47,6 +49,15 @@ class Fft {
 
   /// In-place inverse transform (includes the 1/N scaling).
   void inverse(std::span<Complex> data) const;
+
+  /// In-place inverse transform of a low-pass spectrum: data[k] may be
+  /// nonzero only for k < bins and k > size() - bins (bins [0, bins) and
+  /// their mirrors); every other entry must be zero. Butterflies whose
+  /// inputs are all zero are skipped (an input-pruned transform), which
+  /// leaves every nonzero output bit-identical to inverse() — only the sign
+  /// of an exact-zero output may differ. Falls back to inverse() when no
+  /// butterfly can be skipped (including non-power-of-two sizes).
+  void inverse_lowpass(std::span<Complex> data, std::size_t bins) const;
 
   /// Forward transform of a real signal; returns all N complex coefficients
   /// (the conjugate-symmetric upper half included, for caller convenience).
@@ -62,7 +73,6 @@ class Fft {
   static const Fft& plan(std::size_t size);
 
  private:
-  void transform_pow2(std::span<Complex> data, bool invert) const;
   void transform_bluestein(std::span<Complex> data, bool invert) const;
 
   std::size_t size_;
@@ -80,6 +90,14 @@ class Fft {
   std::vector<std::size_t> conv_bit_reversal_;
   std::vector<Complex> conv_twiddles_;
 };
+
+/// A per-thread buffer of `n` complex values with unspecified contents, for
+/// callers that transform into temporary storage (the low-pass inverses of
+/// reconstruction and correlation scoring). It is reused by the next call on
+/// the same thread, so steady-state callers allocate nothing, and parallel
+/// node strands never share one. Callers must not hold it across another
+/// call that may take it.
+std::span<Complex> thread_scratch(std::size_t n);
 
 /// Direct O(n^2) DFT; the ground truth used by tests and the Table 1
 /// "recompute" baseline.

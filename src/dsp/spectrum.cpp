@@ -1,5 +1,6 @@
 #include "dsjoin/dsp/spectrum.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -35,18 +36,36 @@ CorrelationEstimate lag_max_correlation(std::span<const Complex> x,
   // Build the conjugate-symmetric cross spectrum of the two real signals
   // with DC suppressed, then inverse-transform: r[n] is the circular
   // cross-correlation of the mean-removed low-passed signals.
-  std::vector<Complex> full(window, Complex{});
+  // Only bins below K and their mirrors are nonzero, so the pruned inverse
+  // applies; it runs in the calling thread's scratch buffer.
+  std::span<Complex> full = thread_scratch(window);
+  std::fill(full.begin(), full.end(), Complex{});
   for (std::size_t k = 1; k < x.size(); ++k) {
     const Complex s = x[k] * std::conj(y[k]);
     full[k] = s;
     full[window - k] = std::conj(s);
   }
-  const Fft& fft = Fft::plan(window);
-  fft.inverse(full);
+  Fft::plan(window).inverse_lowpass(full, x.size());
 
+  // First lag of the peak |r[n]|. std::abs is a hypot call, so a cheap
+  // pass over the squared magnitudes q[n] bounds the peak first: any lag
+  // with q[n] < (1 - 2^-30) * max q has |r[n]| below the peak by far more
+  // than the rounding of q or of hypot, so it can neither hold nor precede
+  // the first peak, and is skipped. Out-of-range or non-finite q (where
+  // that rounding bound fails) disables the filter.
+  const auto sq = [](Complex z) { return z.real() * z.real() + z.imag() * z.imag(); };
+  double max_q = 0.0;
+  bool q_in_range = true;
+  for (std::size_t n = 0; n < window; ++n) {
+    const double q = sq(full[n]);
+    max_q = std::max(max_q, q);
+    q_in_range &= q <= 0x1p900;
+  }
+  const double keep_q = q_in_range && max_q >= 0x1p-900 ? max_q * (1.0 - 0x1p-30) : 0.0;
   double best = 0.0;
   std::size_t best_lag = 0;
   for (std::size_t n = 0; n < window; ++n) {
+    if (sq(full[n]) < keep_q) continue;
     const double mag = std::abs(full[n]);
     if (mag > best) {
       best = mag;

@@ -6,8 +6,12 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <unordered_map>
 
+#include "dsjoin/common/rng.hpp"
+#include "dsjoin/common/thread_pool.hpp"
 #include "dsjoin/dsp/fft.hpp"
+#include "dsjoin/dsp/spectrum.hpp"
 
 namespace dsjoin::core {
 namespace {
@@ -388,6 +392,177 @@ TEST(CoeffStore, UpdatesInvalidateCache) {
   EXPECT_EQ(store.estimate_count(10, 0), 0u);
   EXPECT_EQ(store.estimate_count(20, 0), kW);
   EXPECT_EQ(store.updates_applied(), 2u);
+}
+
+// The index CoeffStore used to keep: the dense inverse of the zero-filled
+// mirrored spectrum, rounded, as a key -> count hash map probed once per key
+// of the tolerance band.
+class HashMapCoeffIndex {
+ public:
+  explicit HashMapCoeffIndex(const dsp::CompressedSpectrum& spectrum) {
+    const std::size_t w = spectrum.window;
+    std::vector<dsp::Complex> full(w, dsp::Complex{});
+    if (!spectrum.coeffs.empty()) full[0] = spectrum.coeffs[0];
+    for (std::size_t k = 1; k < spectrum.coeffs.size(); ++k) {
+      full[k] = spectrum.coeffs[k];
+      if (w - k != k) full[w - k] = std::conj(spectrum.coeffs[k]);
+    }
+    dsp::Fft(w).inverse(full);
+    for (const auto& v : full) ++counts_[std::llround(v.real())];
+  }
+
+  std::uint64_t count(std::int64_t key, std::int64_t tolerance) const {
+    std::uint64_t total = 0;
+    for (std::int64_t k = key - tolerance; k <= key + tolerance; ++k) {
+      const auto it = counts_.find(k);
+      if (it != counts_.end()) total += it->second;
+    }
+    return total;
+  }
+
+  std::int64_t min_key() const {
+    std::int64_t m = std::numeric_limits<std::int64_t>::max();
+    for (const auto& [k, c] : counts_) m = std::min(m, k);
+    return m;
+  }
+  std::int64_t max_key() const {
+    std::int64_t m = std::numeric_limits<std::int64_t>::min();
+    for (const auto& [k, c] : counts_) m = std::max(m, k);
+    return m;
+  }
+
+ private:
+  std::unordered_map<std::int64_t, std::uint32_t> counts_;
+};
+
+// A random low-pass window's truncated spectrum: a random walk around
+// `level` (the smooth, key-valued shape DFTT summarizes) compressed to
+// `retained` coefficients.
+dsp::CompressedSpectrum random_window_spectrum(std::uint32_t window,
+                                               std::uint32_t retained,
+                                               double level, std::uint64_t seed) {
+  common::Xoshiro256 rng(seed);
+  std::vector<double> signal(window);
+  double x = level;
+  for (auto& v : signal) {
+    x += rng.next_double_in(-30.0, 30.0);
+    v = x;
+  }
+  return dsp::compress(signal,
+                       static_cast<double>(window) / static_cast<double>(retained),
+                       dsp::Fft::plan(window));
+}
+
+void apply_spectrum(CoeffStore& store, const dsp::CompressedSpectrum& spectrum) {
+  std::vector<dsp::CoeffDelta> deltas;
+  for (std::uint32_t k = 0; k < spectrum.coeffs.size(); ++k) {
+    deltas.push_back(dsp::CoeffDelta{k, spectrum.coeffs[k]});
+  }
+  store.apply(deltas);
+}
+
+void expect_counts_match(CoeffStore& store, const HashMapCoeffIndex& reference,
+                         std::uint64_t seed) {
+  const std::int64_t lo = reference.min_key();
+  const std::int64_t hi = reference.max_key();
+  common::Xoshiro256 rng(seed);
+  std::vector<std::int64_t> keys{lo - 1000, lo - 65, lo - 1, lo,
+                                 hi,        hi + 1,  hi + 65, hi + 1000};
+  for (int i = 0; i < 24; ++i) {
+    keys.push_back(lo + static_cast<std::int64_t>(
+                            rng.next() % static_cast<std::uint64_t>(hi - lo + 1)));
+  }
+  for (std::int64_t key : keys) {
+    for (std::int64_t tolerance = 0; tolerance <= 64; ++tolerance) {
+      ASSERT_EQ(store.estimate_count(key, tolerance), reference.count(key, tolerance))
+          << "key=" << key << " tolerance=" << tolerance << " range=[" << lo
+          << ", " << hi << "]";
+    }
+  }
+}
+
+TEST(CoeffStore, SortedIndexMatchesHashMapMultiset) {
+  struct Case {
+    std::uint32_t window, retained;
+  };
+  for (const Case c : {Case{2048, 8}, Case{2048, 64}, Case{256, 129}, Case{64, 1}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto spectrum =
+          random_window_spectrum(c.window, c.retained, 5000.0, 100 * seed + c.retained);
+      CoeffStore store(c.window, c.retained);
+      apply_spectrum(store, spectrum);
+      expect_counts_match(store, HashMapCoeffIndex(spectrum), seed);
+
+      // apply() must invalidate the index: move the window elsewhere.
+      const auto moved = random_window_spectrum(c.window, c.retained, -700.0,
+                                                200 * seed + c.retained);
+      apply_spectrum(store, moved);
+      expect_counts_match(store, HashMapCoeffIndex(moved), seed + 10);
+    }
+  }
+}
+
+TEST(CoeffStore, NegativeToleranceCountsNothing) {
+  CoeffStore store(32, 1);
+  store.apply({dsp::CoeffDelta{0, dsp::Complex(320, 0)}});
+  EXPECT_EQ(store.estimate_count(10, 0), 32u);
+  EXPECT_EQ(store.estimate_count(10, -1), 0u);
+}
+
+// Node strands of the parallel driver run DFTT summary math concurrently:
+// each strand owns its CoeffStores, while transform plans and scratch are
+// process- or thread-scoped. Run the pruned inverse (on one shared plan and
+// through the thread-local plan/scratch paths) and CoeffStore estimates on
+// a thread pool and require the serial answers; under TSan, any scratch
+// state shared across strands is a reported race.
+TEST(DftSummaryConcurrency, PrunedInverseAndCoeffStoreAcrossPoolThreads) {
+  constexpr std::uint32_t kW = 2048;
+  constexpr std::uint32_t kK = 8;
+  constexpr std::size_t kTasks = 16;
+  const dsp::Fft shared_plan(kW);
+
+  struct Result {
+    std::vector<dsp::Complex> inverse;
+    std::vector<std::uint64_t> counts;
+    double rho = 0.0;
+  };
+  const auto work = [&](std::size_t t) {
+    const auto a = random_window_spectrum(kW, kK, 1000.0 + 50.0 * t, 31 + t);
+    const auto b = random_window_spectrum(kW, kK, 1000.0, 77 + t);
+    Result r;
+    r.inverse.assign(kW, dsp::Complex{});
+    for (std::size_t k = 0; k < kK; ++k) {
+      r.inverse[k] = a.coeffs[k];
+      if (k > 0) r.inverse[kW - k] = std::conj(a.coeffs[k]);
+    }
+    shared_plan.inverse_lowpass(r.inverse, kK);
+    CoeffStore store(kW, kK);
+    for (int round = 0; round < 3; ++round) {
+      apply_spectrum(store, round % 2 == 0 ? a : b);
+      for (std::int64_t key = 900; key <= 1900; key += 25) {
+        r.counts.push_back(store.estimate_count(key, 32));
+      }
+    }
+    r.rho = dsp::lag_max_correlation(a.coeffs, b.coeffs, kW).rho;
+    return r;
+  };
+
+  std::vector<Result> serial(kTasks);
+  for (std::size_t t = 0; t < kTasks; ++t) serial[t] = work(t);
+
+  std::vector<Result> parallel(kTasks);
+  common::ThreadPool pool(4);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    tasks.emplace_back([&, t] { parallel[t] = work(t); });
+  }
+  pool.run_batch(tasks);
+
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_TRUE(parallel[t].inverse == serial[t].inverse) << "task " << t;
+    EXPECT_EQ(parallel[t].counts, serial[t].counts) << "task " << t;
+    EXPECT_EQ(parallel[t].rho, serial[t].rho) << "task " << t;
+  }
 }
 
 TEST(BloomStore, UnseededContainsNothing) {

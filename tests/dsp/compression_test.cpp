@@ -99,6 +99,47 @@ TEST(ReconstructRounded, RoundsToIntegers) {
   }
 }
 
+TEST(ReconstructRounded, EqualsLlroundOfReconstruction) {
+  // The rounding is an inlined llround; it must agree with the library
+  // call on every sample, at several scales and compressions.
+  common::Xoshiro256 rng(41);
+  for (double scale : {1.0, 1e3, 1e9, 1e14}) {
+    for (double kappa : {1.0, 8.0, 256.0}) {
+      std::vector<double> signal(512);
+      double x = 0.0;
+      for (auto& v : signal) {
+        x += rng.next_double_in(-1.0, 1.0) * scale;
+        v = x;
+      }
+      const auto spectrum = compress(signal, kappa, Fft::plan(signal.size()));
+      const auto values = reconstruct(spectrum);
+      const auto rounded = reconstruct_rounded(spectrum);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        ASSERT_EQ(rounded[i], std::llround(values[i]))
+            << "scale=" << scale << " kappa=" << kappa << " i=" << i
+            << " value=" << values[i];
+      }
+    }
+  }
+}
+
+TEST(ReconstructRounded, RoundsHalfwayCasesAwayFromZero) {
+  // A DC-only spectrum reconstructs to the constant X0 / W exactly (W is a
+  // power of two), which pins the halfway and boundary cases.
+  constexpr std::uint32_t kW = 16;
+  for (double v : {2.5, -2.5, 0.5, -0.5, 0.49999999999999994,
+                   -0.49999999999999994, 0.0, -0.0, 4503599627370495.5,
+                   -4503599627370495.5, 9007199254740994.0, -1e17}) {
+    CompressedSpectrum spectrum;
+    spectrum.window = kW;
+    spectrum.coeffs = {Complex(v * kW, 0.0)};
+    ASSERT_EQ(reconstruct(spectrum)[0], v);
+    for (std::int64_t r : reconstruct_rounded(spectrum)) {
+      EXPECT_EQ(r, std::llround(v)) << "v=" << v;
+    }
+  }
+}
+
 TEST(SquaredErrors, PerSampleValues) {
   std::vector<double> a{1, 2, 3};
   std::vector<double> b{1, 4, 0};

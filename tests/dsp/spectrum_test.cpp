@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/dsp/compression.hpp"
@@ -116,6 +117,66 @@ TEST(LagMaxCorrelation, MeanOffsetDoesNotInflate) {
   const auto sa = spectrum_of(a, 8.0);
   const auto sb = spectrum_of(b, 8.0);
   EXPECT_LT(lag_max_correlation(sa.coeffs, sb.coeffs, 256).rho, 1e-6);
+}
+
+// lag_max_correlation as written before its peak search skipped lags: the
+// dense inverse of the mirrored cross spectrum and a full std::abs scan.
+CorrelationEstimate reference_lag_max(std::span<const Complex> x,
+                                      std::span<const Complex> y,
+                                      std::size_t window) {
+  const double ex = spectral_energy(x);
+  const double ey = spectral_energy(y);
+  if (ex <= 0.0 || ey <= 0.0) return {};
+  std::vector<Complex> full(window, Complex{});
+  for (std::size_t k = 1; k < x.size(); ++k) {
+    const Complex s = x[k] * std::conj(y[k]);
+    full[k] = s;
+    full[window - k] = std::conj(s);
+  }
+  Fft(window).inverse(full);
+  double best = 0.0;
+  std::size_t best_lag = 0;
+  for (std::size_t n = 0; n < window; ++n) {
+    const double mag = std::abs(full[n]);
+    if (mag > best) {
+      best = mag;
+      best_lag = n;
+    }
+  }
+  const double rho = best * static_cast<double>(window) / std::sqrt(ex * ey);
+  return CorrelationEstimate{rho < 1.0 ? rho : 1.0, best_lag};
+}
+
+void expect_same_estimate(std::span<const Complex> x, std::span<const Complex> y,
+                          std::size_t window, const std::string& label) {
+  const auto expected = reference_lag_max(x, y, window);
+  const auto actual = lag_max_correlation(x, y, window);
+  EXPECT_EQ(actual.rho, expected.rho) << label;
+  EXPECT_EQ(actual.lag, expected.lag) << label;
+}
+
+TEST(LagMaxCorrelation, MatchesDenseFullScanReference) {
+  common::Xoshiro256 rng(43);
+  for (std::size_t window : {64, 256, 2048}) {
+    for (std::size_t bins : {std::size_t{2}, std::size_t{8}, window / 2 + 1}) {
+      // Magnitudes from underflow-adjacent to overflow-adjacent: the
+      // extremes switch the squared-magnitude filter off.
+      for (double scale : {1e-160, 1.0, 1e4, 1e140, 1e200}) {
+        std::vector<Complex> x(bins), y(bins);
+        for (std::size_t k = 0; k < bins; ++k) {
+          x[k] = scale * Complex(rng.next_double_in(-1, 1), rng.next_double_in(-1, 1));
+          y[k] = scale * Complex(rng.next_double_in(-1, 1), rng.next_double_in(-1, 1));
+        }
+        const std::string label = "window=" + std::to_string(window) +
+                                  " bins=" + std::to_string(bins) +
+                                  " scale=" + std::to_string(scale);
+        expect_same_estimate(x, y, window, label);
+        // x against itself peaks at lag 0 and has mirror-symmetric ties
+        // r[n] == r[W - n]: the first of equal peaks must win.
+        expect_same_estimate(x, x, window, label + " self");
+      }
+    }
+  }
 }
 
 TEST(SpectralMagnitudeCosine, IdenticalIsOne) {
