@@ -17,6 +17,13 @@
 // and simd columns; the tuple_store probe rows dispatch the §16 match-scan
 // kernels.
 //
+// Two harness rows time what every simulated run pays around the join:
+// metrics_collector (the global pair dedup, MetricsCollector::record_pair,
+// one item per report; scalar column: a std::unordered_set of the pairs)
+// and event_queue (one run_one plus one schedule_at at 16k pending
+// events; scalar column: a std::priority_queue holding the std::function
+// callbacks in its entries). Neither uses a simd:: kernel.
+//
 // The summary-math rows (reconstruct_rounded, lag_max_correlation,
 // coeff_store) run at W=2048, K=8 — DFTT's default window and kappa=256 —
 // and count one call as an item. Their scalar column is the dense
@@ -43,17 +50,22 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/common/simd.hpp"
+#include "dsjoin/core/metrics.hpp"
 #include "dsjoin/core/summary_state.hpp"
 #include "dsjoin/dsp/compression.hpp"
 #include "dsjoin/dsp/sliding_dft.hpp"
 #include "dsjoin/dsp/spectrum.hpp"
+#include "dsjoin/net/event_queue.hpp"
 #include "dsjoin/sketch/agms.hpp"
 #include "dsjoin/sketch/bloom.hpp"
 #include "dsjoin/stream/tuple.hpp"
@@ -569,6 +581,113 @@ Entry bench_coeff_store(double min_time_s) {
   return e;
 }
 
+// About 300k distinct pairs, each reported 2 or 3 times (2.3 on average,
+// about the duplication of a sim-mq run), in shuffled order; one item is
+// one report into a fresh collector.
+Entry bench_metrics_collector(double min_time_s) {
+  constexpr std::size_t kDistinct = 300000;
+  Entry e;
+  e.op = "metrics_collector";
+  e.config = "300k pairs x2.3";
+  e.batch_size = 1;
+  common::Xoshiro256 rng(26);
+  std::vector<stream::ResultPair> reports;
+  for (std::size_t i = 0; i < kDistinct; ++i) {
+    const stream::ResultPair pair{rng.next() % (1u << 22), rng.next() % (1u << 22)};
+    const int copies = rng.next_below(10) < 3 ? 3 : 2;
+    for (int c = 0; c < copies; ++c) reports.push_back(pair);
+  }
+  for (std::size_t i = reports.size(); i > 1; --i) {
+    std::swap(reports[i - 1], reports[rng.next_below(i)]);
+  }
+  volatile std::uint64_t sink = 0;
+  e.scalar_ns = measure_ns_per_item(reports.size(), min_time_s, [&] {
+    std::unordered_set<stream::ResultPair, stream::ResultPairHash> seen;
+    for (const auto& pair : reports) seen.insert(pair);
+    sink = sink + seen.size();
+  });
+  measure_batch_and_simd(e, reports.size(), min_time_s, [] {}, [&] {
+    core::MetricsCollector collector;
+    collector.set_node_count(8);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      collector.record_pair(reports[i], static_cast<net::NodeId>(i & 7), 0.0);
+    }
+    sink = sink + collector.distinct_pairs();
+  });
+  return e;
+}
+
+// Steady state at 16k pending events (sim-mq's peak): each item runs the
+// earliest event and schedules one more at a random delay on a coarse grid
+// (exact-time ties included).
+Entry bench_event_queue(double min_time_s) {
+  constexpr std::size_t kPending = 16384;
+  constexpr std::size_t kOps = 65536;
+  Entry e;
+  e.op = "event_queue";
+  e.config = "16k pending";
+  e.batch_size = 1;
+  common::Xoshiro256 rng(27);
+  std::vector<double> delays(4096);
+  for (auto& d : delays) d = 0.001 * static_cast<double>(rng.next_below(2000));
+  std::uint64_t fired = 0;
+
+  // Reference: the callbacks ride in the heap entries.
+  struct Event {
+    double when;
+    std::uint64_t sequence;
+    bool barrier;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const noexcept {
+      if (a.when != b.when) return a.when > b.when;
+      return a.sequence > b.sequence;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, Later> heap;
+  std::uint64_t sequence = 0;
+  double now = 0.0;
+  for (std::size_t i = 0; i < kPending; ++i) {
+    heap.push(Event{delays[i % delays.size()], sequence++, false,
+                    [&fired, i] { fired += i & 1; }});
+  }
+  std::size_t next = 0;
+  e.scalar_ns = measure_ns_per_item(kOps, min_time_s, [&] {
+    for (std::size_t op = 0; op < kOps; ++op) {
+      Event ev = std::move(const_cast<Event&>(heap.top()));
+      heap.pop();
+      now = ev.when;
+      ev.fn();
+      const double delay = delays[next++ % delays.size()];
+      heap.push(Event{now + delay, sequence++, false,
+                      [&fired, op] { fired += op & 1; }});
+    }
+  });
+
+  std::optional<net::EventQueue> queue;
+  measure_batch_and_simd(
+      e, kOps, min_time_s,
+      [&] {
+        queue.emplace();
+        for (std::size_t i = 0; i < kPending; ++i) {
+          queue->schedule_at(delays[i % delays.size()],
+                             [&fired, i] { fired += i & 1; });
+        }
+      },
+      [&] {
+        for (std::size_t op = 0; op < kOps; ++op) {
+          queue->run_one();
+          const double delay = delays[next++ % delays.size()];
+          queue->schedule_at(queue->now() + delay,
+                             [&fired, op] { fired += op & 1; });
+        }
+      });
+  volatile std::uint64_t sink = fired;
+  (void)sink;
+  return e;
+}
+
 void write_json(const std::vector<Entry>& entries, const std::string& path) {
   const char* level = common::simd::level_name(common::simd::detected_level());
   std::ofstream out(path);
@@ -634,6 +753,8 @@ int main(int argc, char** argv) {
     entries.push_back(bench_reconstruct(min_time_s));
     entries.push_back(bench_lag_correlation(min_time_s));
     entries.push_back(bench_coeff_store(min_time_s));
+    entries.push_back(bench_metrics_collector(min_time_s));
+    entries.push_back(bench_event_queue(min_time_s));
   } else {
     entries.push_back(bench_sliding_dft(2048, 8, min_time_s));
     entries.push_back(bench_sliding_dft(2048, 32, min_time_s));
@@ -655,6 +776,8 @@ int main(int argc, char** argv) {
     entries.push_back(bench_reconstruct(min_time_s));
     entries.push_back(bench_lag_correlation(min_time_s));
     entries.push_back(bench_coeff_store(min_time_s));
+    entries.push_back(bench_metrics_collector(min_time_s));
+    entries.push_back(bench_event_queue(min_time_s));
   }
 
   std::printf("%-20s %-22s %12s %12s %12s %9s %9s\n", "operator", "config",

@@ -33,12 +33,11 @@ common::Result<Backend> backend_from_string(const std::string& name) {
 
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result, bool merge_traffic) {
-  std::size_t nodes = reports.size();
-  for (const auto& report : reports) {
-    nodes = std::max(nodes, static_cast<std::size_t>(report.node_id) + 1);
-  }
-  MetricsCollector collector;
-  collector.set_node_count(nodes);
+  // Every report's pair lists are sorted snapshots (union_sorted_pairs
+  // re-sorts a copy of any that arrived out of order), so the global dedup
+  // is a merge, not a re-hash.
+  std::vector<std::span<const stream::ResultPair>> lists;
+  lists.reserve(reports.size());
   for (const auto& report : reports) {
     result->total_arrivals += report.local_tuples;
     result->decode_failures += report.decode_failures;
@@ -46,24 +45,25 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
     result->predicted_missed_mass += report.predicted_missed_mass;
     result->predicted_total_mass += report.predicted_total_mass;
     if (merge_traffic) result->traffic.merge(report.traffic);
-    for (const auto& pair : report.pairs) {
-      collector.record_pair(pair, report.node_id, 0.0);
-    }
+    lists.emplace_back(report.pairs);
   }
-  result->pairs = collector.pairs();
+  result->pairs = union_sorted_pairs(lists);
 
   // Per-query fold: every report lists its queries in the same canonical
   // order, so entry i across reports is the same query. Each query's pair
   // set deduplicates independently (queries are distinct joins).
-  std::vector<MetricsCollector> per_query;
+  std::size_t queries = 0;
   for (const auto& report : reports) {
-    if (per_query.size() < report.queries.size()) {
-      per_query.resize(report.queries.size());
-      result->per_query.resize(report.queries.size());
-    }
-    for (std::size_t q = 0; q < report.queries.size(); ++q) {
+    queries = std::max(queries, report.queries.size());
+  }
+  if (result->per_query.size() < queries) result->per_query.resize(queries);
+  std::uint64_t reported = 0;
+  for (std::size_t q = 0; q < queries; ++q) {
+    QueryResult& out = result->per_query[q];
+    lists.clear();
+    for (const auto& report : reports) {
+      if (q >= report.queries.size()) continue;
       const QueryNodeReport& slice = report.queries[q];
-      QueryResult& out = result->per_query[q];
       out.query_id = slice.query_id;
       out.received_tuples += slice.received_tuples;
       out.forwarded_tuples += slice.forwarded_tuples;
@@ -71,21 +71,15 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
       out.summary_frames += slice.summary_frames;
       out.predicted_missed_mass += slice.predicted_missed_mass;
       out.predicted_total_mass += slice.predicted_total_mass;
-      for (const auto& pair : slice.pairs) {
-        per_query[q].record_pair(pair, report.node_id, 0.0);
-      }
+      lists.emplace_back(slice.pairs);
     }
-  }
-  std::uint64_t reported = 0;
-  for (std::size_t q = 0; q < per_query.size(); ++q) {
-    result->per_query[q].reported_pairs = per_query[q].distinct_pairs();
-    result->per_query[q].pairs = per_query[q].pairs();
-    reported += per_query[q].distinct_pairs();
+    out.pairs = union_sorted_pairs(lists);
+    out.reported_pairs = out.pairs.size();
+    reported += out.reported_pairs;
   }
   // Aggregate count: sum over queries (each its own join). With no
   // per-query sections (a pre-v6 report), fall back to the union.
-  result->reported_pairs =
-      per_query.empty() ? collector.distinct_pairs() : reported;
+  result->reported_pairs = queries == 0 ? result->pairs.size() : reported;
 }
 
 void verify_against_schedule(const SystemConfig& config,

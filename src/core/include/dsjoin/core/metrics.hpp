@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "dsjoin/net/frame.hpp"
@@ -16,6 +16,11 @@
 namespace dsjoin::core {
 
 /// Global (cross-node) result accounting.
+///
+/// The dedup set is a flat open-addressing table of 16-byte pairs
+/// (power-of-two capacity, linear probing, load <= 1/2). Occupancy lives in
+/// a byte array beside the pairs, so every pair value — (0, 0) and
+/// (2^64-1, 2^64-1) included — is storable.
 ///
 /// Parallel epochs: the collector is shared by all nodes, so the parallel
 /// driver opens an epoch around each worker phase; record_pair from a bound
@@ -44,16 +49,16 @@ class MetricsCollector {
   void set_epoch_group(const void* group) noexcept { epoch_group_ = group; }
 
   /// Distinct pairs reported by the system — |Psi-hat| of Eq. 1.
-  std::uint64_t distinct_pairs() const noexcept { return reported_.size(); }
+  std::uint64_t distinct_pairs() const noexcept { return size_; }
 
   /// Snapshot of every distinct pair recorded so far, sorted ascending by
-  /// (r_id, s_id) — NOT the hash set's iteration order, so the snapshot
-  /// (and anything serialized from it, like METRICS_REPORT) is identical
-  /// across runs and across processes. This is the wire-metrics hook: a
-  /// node daemon's local collector knows only the pairs *it* discovered,
-  /// so it ships this snapshot to the coordinator, which feeds the pairs
-  /// of all nodes through its own collector to perform the global dedup
-  /// the one-process experiments get from sharing a single instance.
+  /// (r_id, s_id) — NOT the table's slot order, so the snapshot (and
+  /// anything serialized from it, like METRICS_REPORT) is identical across
+  /// runs and across processes. This is the wire-metrics hook: a node
+  /// daemon's local collector knows only the pairs *it* discovered, so it
+  /// ships this snapshot to the coordinator, which merges the snapshots of
+  /// all nodes (union_sorted_pairs) to perform the global dedup the
+  /// one-process experiments get from sharing a single instance.
   std::vector<stream::ResultPair> pairs() const;
 
   /// Total (non-deduplicated) pair reports, for double-discovery diagnostics.
@@ -77,7 +82,13 @@ class MetricsCollector {
     double now;
   };
 
-  std::unordered_set<stream::ResultPair, stream::ResultPairHash> reported_;
+  /// Inserts `pair` into the dedup table; false if it was already there.
+  bool insert(const stream::ResultPair& pair);
+  void grow();
+
+  std::vector<stream::ResultPair> slots_;  // capacity: 0 or a power of two
+  std::vector<std::uint8_t> occupied_;     // 1 where slots_[i] holds a pair
+  std::size_t size_ = 0;
   const void* epoch_group_ = this;
   std::vector<std::uint64_t> per_node_;
   std::uint64_t total_reports_ = 0;
@@ -85,5 +96,13 @@ class MetricsCollector {
   bool epoch_open_ = false;
   std::vector<std::vector<PendingReport>> epoch_reports_;  // by slot
 };
+
+/// Union of pair lists, sorted ascending by (r_id, s_id), without
+/// duplicates. Inputs are expected sorted (pairs() snapshots are), so the
+/// union is a k-way merge; every input is checked in O(n) and one that is
+/// not strictly ascending (a hostile or corrupted report) is sorted and
+/// deduplicated on a copy first. A single input comes back as a copy.
+std::vector<stream::ResultPair> union_sorted_pairs(
+    std::span<const std::span<const stream::ResultPair>> lists);
 
 }  // namespace dsjoin::core

@@ -81,13 +81,11 @@ class DspSystem {
   // and metric reports buffered per task; the *barrier* flushes those
   // buffers in dispatch order, reproducing the serial schedule exactly.
 
-  /// Runs `task` now (serial mode) or defers it to the open epoch's worker
-  /// phase, tagged with its owning node and event time.
-  void defer_node_task(net::NodeId node, double when,
-                       std::function<void()> task);
-  /// Local-arrival variant: stores the tuple inline in the epoch task (no
+  /// Runs a local arrival now (serial mode) or defers it to the open
+  /// epoch's worker phase. The epoch task stores the tuple inline (no
   /// per-arrival closure), letting the worker phase feed each node its
-  /// consecutive arrivals as one Node::on_local_batch call.
+  /// consecutive arrivals as one Node::on_local_batch call. Frame
+  /// deliveries defer the same way, as a closure (install_node).
   void defer_arrival(net::NodeId node, double when, const stream::Tuple& tuple);
   void run_parallel();
   void execute_epoch(common::ThreadPool& pool,

@@ -166,14 +166,12 @@ NodeReport NodeHost::report(net::TrafficCounters traffic) const {
   // The node-level pair set stays the cross-query union (queries rarely
   // overlap, but identical registered queries do — single-query reports are
   // byte-identical to the historical shape).
-  MetricsCollector unioned;
-  unioned.set_node_count(nodes_);
-  for (const MetricsCollector* collector : metrics_) {
-    for (const auto& pair : collector->pairs()) {
-      unioned.record_pair(pair, id_, 0.0);
-    }
+  std::vector<std::span<const stream::ResultPair>> query_pairs;
+  query_pairs.reserve(report.queries.size());
+  for (const QueryNodeReport& slice : report.queries) {
+    query_pairs.emplace_back(slice.pairs);
   }
-  report.pairs = unioned.pairs();
+  report.pairs = union_sorted_pairs(query_pairs);
   return report;
 }
 

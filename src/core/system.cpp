@@ -46,13 +46,20 @@ void DspSystem::install_node(net::NodeId id) {
   // second time.
   hosts_[id]->node().set_external_summary_feed(true);
   transport_->register_handler(id, [this, id](net::Frame&& frame) {
-    // The host is re-resolved when the deferred work runs, so frames still
-    // in flight across a crash-and-restart reach the fresh instance.
+    // The host is re-resolved per delivery (and, in the parallel driver,
+    // when the deferred work runs), so frames still in flight across a
+    // crash-and-restart reach the fresh instance.
     const double now = queue_.now();
-    defer_node_task(id, now,
-                    [this, id, now, f = std::move(frame)]() mutable {
-                      hosts_[id]->deliver(std::move(f), now);
-                    });
+    if (!epoch_open_) {
+      hosts_[id]->deliver(std::move(frame), now);
+      return;
+    }
+    epoch_tasks_.push_back(EpochTask{
+        id, now,
+        [this, id, now, f = std::move(frame)]() mutable {
+          hosts_[id]->deliver(std::move(f), now);
+        },
+        false, {}});
   });
 }
 
@@ -73,15 +80,6 @@ void DspSystem::tee_summary(const net::Frame& frame) {
         frame.from, payload.value().stamp,
         std::move(payload.value().piggyback));
   }
-}
-
-void DspSystem::defer_node_task(net::NodeId node, double when,
-                                std::function<void()> task) {
-  if (!epoch_open_) {
-    task();
-    return;
-  }
-  epoch_tasks_.push_back(EpochTask{node, when, std::move(task)});
 }
 
 void DspSystem::defer_arrival(net::NodeId node, double when,
@@ -175,15 +173,15 @@ ExperimentResult DspSystem::run() {
   // Per-query outcomes; the run aggregates are their sums (each query is
   // its own join), with result.pairs keeping the cross-query union.
   result.per_query.resize(specs_.size());
-  MetricsCollector unioned;
-  unioned.set_node_count(config_.nodes);
+  std::vector<std::span<const stream::ResultPair>> query_pairs;
+  query_pairs.reserve(specs_.size());
   for (std::size_t q = 0; q < specs_.size(); ++q) {
     QueryResult& query = result.per_query[q];
     query.query_id = specs_[q].id;
     query.exact_pairs = oracles_[q].total_pairs();
     query.reported_pairs = query_metrics_[q]->distinct_pairs();
     query.pairs = query_metrics_[q]->pairs();
-    for (const auto& pair : query.pairs) unioned.record_pair(pair, 0, 0.0);
+    query_pairs.emplace_back(query.pairs);
     for (const auto& host : hosts_) {
       const QueryCounters counters = host->node().query_counters(q);
       query.received_tuples += counters.received_tuples;
@@ -201,7 +199,7 @@ ExperimentResult DspSystem::run() {
     result.predicted_missed_mass += query.predicted_missed_mass;
     result.predicted_total_mass += query.predicted_total_mass;
   }
-  result.pairs = unioned.pairs();
+  result.pairs = union_sorted_pairs(query_pairs);
   finalize_derived_metrics(&result);
   return result;
 }

@@ -5,26 +5,39 @@
 
 namespace dsjoin::net {
 
-void EventQueue::schedule_at(SimTime when, Callback fn) {
+void EventQueue::push(SimTime when, bool barrier, Callback fn) {
   assert(when >= now_ && "cannot schedule into the past");
-  heap_.push(Event{when < now_ ? now_ : when, next_sequence_++, false,
-                   std::move(fn)});
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(fn);
+  }
+  heap_.push(Key{when < now_ ? now_ : when, next_sequence_++, slot, barrier});
+}
+
+void EventQueue::schedule_at(SimTime when, Callback fn) {
+  push(when, false, std::move(fn));
 }
 
 void EventQueue::schedule_barrier_at(SimTime when, Callback fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  heap_.push(Event{when < now_ ? now_ : when, next_sequence_++, true,
-                   std::move(fn)});
+  push(when, true, std::move(fn));
 }
 
 bool EventQueue::run_one() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const; the callback must be moved out, so copy
-  // the handle and pop before invoking (the callback may schedule more).
-  Event ev = std::move(const_cast<Event&>(heap_.top()));
+  const Key key = heap_.top();
   heap_.pop();
-  now_ = ev.when;
-  ev.fn();
+  // Move the callback out of its slot (leaving the slot empty) before
+  // invoking it: the callback may schedule more events and grow the slab.
+  Callback fn;
+  fn.swap(slab_[key.slot]);
+  free_.push_back(key.slot);
+  now_ = key.when;
+  fn();
   return true;
 }
 

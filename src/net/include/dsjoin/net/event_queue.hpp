@@ -27,6 +27,11 @@ namespace dsjoin::net {
 using SimTime = double;
 
 /// A min-heap of timestamped callbacks with deterministic tie-breaking.
+///
+/// The heap orders small trivially copyable keys; the callbacks themselves
+/// live in a slab indexed by the key's slot and are never moved by heap
+/// sifts. Freed slots are reused LIFO, so a steady-state run allocates no
+/// slab storage.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -76,20 +81,24 @@ class EventQueue {
   std::size_t run_all(std::size_t max_events = SIZE_MAX);
 
  private:
-  struct Event {
+  struct Key {
     SimTime when;
     std::uint64_t sequence;  // insertion order for stable ties
+    std::uint32_t slot;      // index of the callback in slab_
     bool barrier;
-    Callback fn;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.when != b.when) return a.when > b.when;
       return a.sequence > b.sequence;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  void push(SimTime when, bool barrier, Callback fn);
+
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<Callback> slab_;       // callbacks of pending events
+  std::vector<std::uint32_t> free_;  // vacant slab slots, reused LIFO
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
 };

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
+
+#include "dsjoin/common/rng.hpp"
 
 namespace dsjoin::net {
 namespace {
@@ -160,6 +166,147 @@ TEST(EventQueue, ManyEventsStaySorted) {
   }
   q.run_all();
   EXPECT_TRUE(monotone);
+}
+
+// Model check: 100k interleaved schedule / run_one / run_epoch / run_until
+// steps with heavy exact-time ties, barriers and callbacks that schedule
+// more, against a reference (when, sequence) ordering kept here.
+TEST(EventQueue, MatchesReferenceOrderingModel) {
+  struct Ref {
+    double when;
+    std::uint64_t sequence;
+    bool barrier;
+    bool operator<(const Ref& o) const {
+      return std::tie(when, sequence) < std::tie(o.when, o.sequence);
+    }
+  };
+  EventQueue q;
+  std::set<Ref> ref;
+  std::uint64_t sequence = 0;
+  std::uint64_t mismatches = 0;
+  std::vector<Ref> fired;
+  common::Xoshiro256 rng(31337);
+
+  // Delays from a small grid, so most events tie exactly with others.
+  const auto delay = [&rng] { return 0.25 * static_cast<double>(rng.next_below(5)); };
+  std::function<void(double, bool, int)> schedule;
+  schedule = [&](double when, bool barrier, int spawn) {
+    const Ref me{when, sequence++, barrier};
+    ref.insert(me);
+    auto fn = [&, me, spawn] {
+      if (ref.empty() || ref.begin()->sequence != me.sequence ||
+          q.now() != me.when) {
+        ++mismatches;
+      } else {
+        ref.erase(ref.begin());
+      }
+      fired.push_back(me);
+      // Nested scheduling from inside a callback, ties included.
+      for (int i = 0; i < spawn; ++i) {
+        schedule(q.now() + delay(), rng.next_below(10) == 0, 0);
+      }
+    };
+    if (barrier) {
+      q.schedule_barrier_at(when, fn);
+    } else {
+      q.schedule_at(when, fn);
+    }
+  };
+
+  std::size_t steps = 0;
+  for (; steps < 100000; ++steps) {
+    const std::uint64_t op = rng.next_below(100);
+    const std::size_t before = fired.size();
+    if (op < 50 || ref.empty()) {
+      schedule(q.now() + delay(), rng.next_below(10) == 0,
+               static_cast<int>(rng.next_below(3)));
+    } else if (op < 85) {
+      EXPECT_TRUE(q.run_one());
+      EXPECT_EQ(fired.size(), before + 1);
+    } else if (op < 95) {
+      const Ref head = *ref.begin();
+      const std::size_t ran = q.run_epoch();
+      EXPECT_EQ(fired.size(), before + ran);
+      EXPECT_GE(ran, 1u);
+      for (std::size_t i = before; i < fired.size(); ++i) {
+        EXPECT_EQ(fired[i].when, head.when);
+        if (ran > 1) {
+          EXPECT_FALSE(fired[i].barrier);
+        }
+      }
+      // The epoch stopped at a new timestamp, a barrier, or a dry queue.
+      if (!head.barrier && !ref.empty()) {
+        EXPECT_TRUE(ref.begin()->when != head.when || ref.begin()->barrier);
+      }
+    } else {
+      const double limit = q.now() + delay();
+      q.run_until(limit);
+      for (std::size_t i = before; i < fired.size(); ++i) {
+        EXPECT_LE(fired[i].when, limit);
+      }
+      if (!ref.empty()) {
+        EXPECT_GT(ref.begin()->when, limit);
+      }
+    }
+    ASSERT_EQ(q.pending(), ref.size()) << "step " << steps;
+    if (!ref.empty()) {
+      ASSERT_EQ(q.next_when(), ref.begin()->when) << "step " << steps;
+      ASSERT_EQ(q.next_is_barrier(), ref.begin()->barrier) << "step " << steps;
+    }
+  }
+  q.run_all();
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(fired.size(), sequence);
+}
+
+TEST(EventQueue, CallbacksScheduleWhileTheSlabGrows) {
+  // A running callback schedules thousands of events, each with a capture
+  // too large for std::function's inline buffer: the slab reallocates
+  // under the running callback, and every payload must arrive intact.
+  EventQueue q;
+  std::vector<std::uint64_t> seen;
+  q.schedule_at(1.0, [&] {
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+      std::array<std::uint64_t, 6> payload{};
+      payload.fill(i);
+      q.schedule_at(2.0 + static_cast<double>(i % 7), [&seen, payload] {
+        for (std::uint64_t v : payload) {
+          if (v != payload[0]) seen.push_back(~0ULL);
+        }
+        seen.push_back(payload[0]);
+      });
+    }
+    EXPECT_EQ(q.pending(), 5000u);
+  });
+  q.run_all();
+  ASSERT_EQ(seen.size(), 5000u);
+  // Time order first, insertion order within each tie.
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t r = 0; r < 7; ++r) {
+    for (std::uint64_t i = r; i < 5000; i += 7) expected.push_back(i);
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(EventQueue, RunAndPendingCallbacksReleaseWhatTheyOwn) {
+  auto token = std::make_shared<int>(42);
+  {
+    EventQueue q;
+    for (int i = 0; i < 100; ++i) {
+      q.schedule_at(static_cast<double>(i), [token] { (void)*token; });
+    }
+    EXPECT_EQ(token.use_count(), 101);
+    // A callback that has run is destroyed, not parked in its slot.
+    EXPECT_EQ(q.run_all(40), 40u);
+    EXPECT_EQ(token.use_count(), 61);
+    // Freed slots are reused by new events.
+    q.schedule_barrier_at(200.0, [token] { (void)*token; });
+    EXPECT_EQ(token.use_count(), 62);
+  }
+  // Pending callbacks are destroyed with the queue.
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
