@@ -7,11 +7,13 @@
 // over the network in order to provide the complete result", Section 5.3).
 //
 // Multi-query serving (DESIGN.md §15): a node hosts every query of
-// effective_queries(config). The local stream windows and the summary
-// substrate are ingested once per tuple; each registered query keeps its
-// own routing policy, received-tuple stores, online controller and
-// MetricsCollector. With one query (the historical mode) every code path,
-// RNG draw and wire byte is identical to the single-query engine.
+// effective_queries(config). The local stream windows, the received-tuple
+// stores and the summary substrate are ingested once per tuple; a received
+// tuple carries the mask of the queries that routed it here, and each
+// query's bit expires at that query's own horizon (DESIGN.md §19). Each
+// registered query keeps its own routing policy, online controller and
+// MetricsCollector. With one query (the historical mode) every RNG draw
+// and wire byte is identical to the single-query engine.
 #pragma once
 
 #include <array>
@@ -168,14 +170,14 @@ class Node {
 
  private:
   /// Everything one registered query owns: its routing policy (summary
-  /// state shared via the substrate), the forwarded tuples routed to it,
-  /// its online-controller state and its attribution counters.
+  /// state shared via the substrate), its online-controller state and its
+  /// attribution counters. Forwarded tuples live in the node's shared
+  /// received stores under the query's mask bit.
   struct QueryRuntime {
     QuerySpec spec;
     SystemConfig config;  ///< base with the spec's fields overlaid
     std::unique_ptr<RoutingPolicy> policy;
     MetricsCollector* metrics = nullptr;
-    std::array<stream::TupleStore, 2> received;  // forwarded tuples, by side
 
     // Online controller state (per query; identical cadence, own evidence).
     common::Xoshiro256 audit_rng;
@@ -215,8 +217,6 @@ class Node {
     /// (replaces the per-tuple std::map). Frames are emitted by scanning
     /// NodeIds in ascending order — the order the map iterated in.
     std::vector<std::vector<stream::ResultPair>> origin_pairs;
-    /// Received-store probe scratch.
-    std::vector<stream::StoredTuple> matches;
   };
 
   /// The audit draw plus routing decision for one query (thread-confined to
@@ -268,6 +268,11 @@ class Node {
   /// state and get a shard each.
   std::vector<std::vector<std::size_t>> shards_;
   std::array<stream::TupleStore, 2> local_;  // own tuples, by side
+  /// Forwarded tuples, by side, shared by all queries: each tuple is
+  /// stored once with the mask of the queries that routed it here.
+  std::array<stream::TupleStore, 2> received_;
+  std::uint64_t query_bits_ = 0;  ///< one bit per registered query
+  std::vector<double> received_horizons_;  ///< evict() scratch, by query
   std::uint64_t local_tuples_ = 0;
   std::uint64_t received_tuples_ = 0;
   std::uint64_t decode_failures_ = 0;
@@ -291,10 +296,11 @@ class Node {
   // Scratch for the per-tuple evaluation (avoids per-tuple allocation).
   std::vector<QueryEval> eval_scratch_;
 
-  // Cross-query probe sharing (DESIGN.md §16): the shared local windows are
-  // scanned once per distinct join half-width, and every query of that
-  // half-width consumes the one match list. Received stores stay per-query
-  // (their contents already differ per query).
+  // Cross-query probe sharing (DESIGN.md §16, §19): the shared local
+  // windows are scanned once per distinct join half-width, and every query
+  // of that half-width consumes the one match list. The shared received
+  // store is scanned once at the widest half-width; each query filters that
+  // list by its mask bit and its own window.
   struct ProbeGroup {
     double half_width;
     std::vector<std::size_t> queries;
@@ -304,11 +310,17 @@ class Node {
   /// Per-group local-window matches for the tuple in flight; built serially
   /// before the sharded phase, read-only inside it.
   std::vector<std::vector<stream::StoredTuple>> group_matches_;
-  /// Lazy per-frame collect flags (on_frame probes a group's window only
-  /// when a masked query actually needs it).
-  std::vector<bool> group_collected_;
+  /// Received-store matches (and their masks) for the tuple in flight, at
+  /// the widest half-width; built serially, read-only inside the shards.
+  std::vector<stream::StoredTuple> received_matches_;
+  std::vector<std::uint64_t> received_masks_;
+  /// on_frame's local-window matches at the widest masked half-width.
+  std::vector<stream::StoredTuple> frame_matches_;
   /// on_frame result-shipping scratch (one list per masked query in turn).
   std::vector<stream::ResultPair> frame_pairs_;
+  /// Destination union of the tuple in flight and each one's query mask.
+  std::vector<net::NodeId> route_destinations_;
+  std::vector<std::uint64_t> route_masks_;
 
   // Batched-probe scratch (on_local_batch): per group, every arrival's
   // pre-batch local-window matches pooled with [begin, end) slices.

@@ -77,8 +77,10 @@ class RoutingPolicy {
   /// substrate directly, once per tuple, instead.
   void observe_local(const stream::Tuple& tuple);
 
-  /// Destinations for the tuple (excluding self; possibly empty).
-  virtual std::vector<net::NodeId> route(const stream::Tuple& tuple) = 0;
+  /// Destinations for the tuple (excluding self; possibly empty). The
+  /// span points into a buffer the policy owns: valid until this policy's
+  /// next route() call.
+  virtual std::span<const net::NodeId> route(const stream::Tuple& tuple) = 0;
 
   /// Summary bytes to piggyback on a tuple frame to `peer` (may be empty).
   /// Marks the drained state as synced to that peer. Substrate-forwarded.
@@ -108,7 +110,7 @@ class RoutingPolicy {
 
   /// Current p_{i,j} estimates indexed by peer id (self entry = 0), for
   /// diagnostics and tests. Empty if the policy has no such notion.
-  virtual std::vector<double> flow_probabilities() const { return {}; }
+  std::vector<double> flow_probabilities() const { return last_probs_; }
 
   /// Accumulated predicted-epsilon bound terms ({0, 0} for policies with
   /// no error model — the engine reports "no bound" for those runs).
@@ -130,20 +132,41 @@ class RoutingPolicy {
                                                SummarySubstrate& substrate);
 
  protected:
-  explicit RoutingPolicy(SummarySubstrate& substrate);  // out-of-line:
-  // keeps SummarySubstrate an incomplete type for policy.hpp includers
+  RoutingPolicy(SummarySubstrate& substrate, net::NodeId self,
+                std::uint32_t nodes);  // out-of-line: keeps SummarySubstrate
+  // an incomplete type for policy.hpp includers
+
+  /// The shared tail of every scoring policy: water-fills scores_ (one
+  /// entry per peers_ entry, filled by the caller) into probabilities, draws
+  /// one Bernoulli per peer in ascending id, and records last_probs_.
+  std::span<const net::NodeId> draw_destinations(common::Xoshiro256& rng,
+                                                 double budget, double floor);
+  /// Round-robin over the peers: lround(budget) steps of `cursor`,
+  /// skipping self (RR, and the DFT family's uniform-case fallback).
+  std::span<const net::NodeId> round_robin(net::NodeId& cursor, double budget);
 
   SummarySubstrate* substrate_;
+  net::NodeId self_;
+  std::uint32_t nodes_;
+  std::vector<net::NodeId> peers_;  ///< every node but self, ascending
+  // route() scratch, reused call to call (route allocates nothing once
+  // warm): per-peer scores and probabilities, the destination list the
+  // returned span points into, and the diagnostic p_{i,j} by peer id.
+  std::vector<double> scores_;
+  std::vector<double> probs_;
+  std::vector<net::NodeId> destinations_;
+  std::vector<double> last_probs_;
 
  private:
   std::unique_ptr<SummarySubstrate> owned_;  // set by the 2-arg factory
 };
 
 /// Water-fills probabilities p_j = min(1, floor + w * score_j) with
-/// sum_j p_j == min(budget, n) (n = scores.size()). Zero-score vectors get
-/// the uniform allocation budget/n. Exposed for tests.
-std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
-                                                double budget, double floor);
+/// sum_j p_j == min(budget, n) (n = scores.size()) into `probs` (same
+/// size as `scores`). Zero-score vectors get the floor only. Exposed for
+/// tests.
+void allocate_flow_probabilities(std::span<const double> scores, double budget,
+                                 double floor, std::span<double> probs);
 
 /// The per-node message budget T_i for a throttle in [0,1]:
 /// T = (N-1)^throttle, clamped to [1, N-1].

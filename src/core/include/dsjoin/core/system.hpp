@@ -45,19 +45,16 @@ class DspSystem {
   /// Number of restarts executed during the run.
   std::uint64_t restarts_executed() const noexcept { return restarts_executed_; }
 
-  /// Access for tests. metrics()/oracle() are query 0's — the whole story
-  /// in single-query mode; per-query instances via query_metrics(i) /
-  /// query_oracle(i).
+  /// Access for tests. metrics() is query 0's — the whole story in
+  /// single-query mode; per-query collectors via query_metrics(i). The one
+  /// oracle counts every query: oracle().total_pairs(i).
   Node& node(net::NodeId id) { return hosts_[id]->node(); }
   const net::SimTransport& transport() const { return *transport_; }
   const MetricsCollector& metrics() const { return *query_metrics_.front(); }
-  const ExactJoinOracle& oracle() const { return oracles_.front(); }
+  const ExactJoinOracle& oracle() const { return oracle_; }
   std::size_t query_count() const noexcept { return query_metrics_.size(); }
   const MetricsCollector& query_metrics(std::size_t q) const {
     return *query_metrics_[q];
-  }
-  const ExactJoinOracle& query_oracle(std::size_t q) const {
-    return oracles_[q];
   }
 
  private:
@@ -85,7 +82,7 @@ class DspSystem {
   /// epoch's worker phase. The epoch task stores the tuple inline (no
   /// per-arrival closure), letting the worker phase feed each node its
   /// consecutive arrivals as one Node::on_local_batch call. Frame
-  /// deliveries defer the same way, as a closure (install_node).
+  /// deliveries defer the same way, the frame stored inline (install_node).
   void defer_arrival(net::NodeId node, double when, const stream::Tuple& tuple);
   void run_parallel();
   void execute_epoch(common::ThreadPool& pool,
@@ -95,21 +92,23 @@ class DspSystem {
   struct EpochTask {
     net::NodeId node;
     double when;
-    std::function<void()> fn;    // empty for arrival tasks
     bool is_arrival = false;
     stream::Tuple tuple;         // valid when is_arrival
+    net::Frame frame;            // valid when !is_arrival
   };
 
   SystemConfig config_;
   std::vector<QuerySpec> specs_;  ///< effective_queries(config), canonical
   net::EventQueue queue_;
   std::unique_ptr<net::SimTransport> transport_;
-  /// One collector and one oracle per registered query, canonical order.
-  /// All collectors share one epoch group (this), so the parallel driver
-  /// binds worker slots once per task and every query's reports buffer.
+  /// One collector per registered query, canonical order. All collectors
+  /// share one epoch group (this), so the parallel driver binds worker
+  /// slots once per task and every query's reports buffer.
   std::vector<std::unique_ptr<MetricsCollector>> query_metrics_;
   std::vector<MetricsCollector*> metrics_ptrs_;  ///< span over query_metrics_
-  std::vector<ExactJoinOracle> oracles_;
+  /// One oracle for all queries: one pair of stores, one count per
+  /// distinct half-width.
+  ExactJoinOracle oracle_;
   /// Streaming arrival truth: rng tree, key streams, quotas and the dense
   /// global tuple-id counter (ArrivalSchedule::build materializes the same
   /// generator for the socket backends).

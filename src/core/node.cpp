@@ -86,8 +86,11 @@ Node::Node(const SystemConfig& config, net::NodeId self,
     group_of_query_[i] = g;
   }
   group_matches_.resize(probe_groups_.size());
-  group_collected_.resize(probe_groups_.size(), false);
   batch_groups_.resize(probe_groups_.size());
+  query_bits_ = queries_.size() == 64
+                    ? ~std::uint64_t{0}
+                    : (std::uint64_t{1} << queries_.size()) - 1;
+  received_horizons_.resize(queries_.size());
 }
 
 Node::Node(const SystemConfig& config, net::NodeId self,
@@ -109,7 +112,8 @@ void Node::evaluate_routing(QueryRuntime& query, const stream::Tuple& tuple,
       if (j != self_) eval.destinations.push_back(j);
     }
   } else {
-    eval.destinations = query.policy->route(tuple);
+    const auto routed = query.policy->route(tuple);
+    eval.destinations.assign(routed.begin(), routed.end());
   }
   if (controller_on) track_sent(query, tuple.id, eval.audited);
 }
@@ -203,6 +207,16 @@ void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
     }
   }
 
+  // Shared received-store probe: one scan at the widest half-width; each
+  // query keeps the matches that carry its bit and fall in its own window
+  // (the kernel's compares), an ordered subsequence of this list — exactly
+  // what a store of the query's own would return.
+  received_matches_.clear();
+  received_masks_.clear();
+  received_[opposite].collect_matches(tuple.key, tuple.timestamp,
+                                      max_half_width_, received_matches_,
+                                      received_masks_);
+
   // Per-query evaluation: the local joins under the query's window and the
   // query's routing decision. Thread-confined per shard; all cross-query
   // effects (inserts, frames) are applied afterwards in canonical order.
@@ -221,11 +235,17 @@ void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
     for (const auto& match : group_matches_[group_of_query_[i]]) {
       query.metrics->record_pair(make_pair(tuple, match), self_, now);
     }
-    eval.matches.clear();
-    query.received[opposite].collect_matches(tuple.key, tuple.timestamp,
-                                             query.config.join_half_width_s,
-                                             eval.matches);
-    for (const auto& match : eval.matches) {
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    const double hw = query.config.join_half_width_s;
+    const double lo = tuple.timestamp - hw;
+    const double hi = tuple.timestamp + hw;
+    for (std::size_t k = 0; k < received_matches_.size(); ++k) {
+      const auto& match = received_matches_[k];
+      if ((received_masks_[k] & bit) == 0) continue;
+      if (hw != max_half_width_ &&
+          (!(match.timestamp >= lo) || !(match.timestamp <= hi))) {
+        continue;
+      }
       const auto pair = make_pair(tuple, match);
       query.metrics->record_pair(pair, self_, now);
       if (match.origin != self_) eval.origin_pairs[match.origin].push_back(pair);
@@ -246,8 +266,10 @@ void Node::local_tuple_impl(const stream::Tuple& tuple, double now,
 
   // Destination union in canonical query order; each tuple frame carries
   // the mask of queries that routed it and is attributed to the lowest.
-  std::vector<net::NodeId> destinations;
-  std::vector<std::uint64_t> masks;
+  auto& destinations = route_destinations_;
+  auto& masks = route_masks_;
+  destinations.clear();
+  masks.clear();
   for (std::size_t i = 0; i < queries_.size(); ++i) {
     for (const net::NodeId dest : eval_scratch_[i].destinations) {
       const auto it = std::find(destinations.begin(), destinations.end(), dest);
@@ -406,37 +428,43 @@ void Node::on_frame(net::Frame&& frame, double now) {
       // traffic, or a sender that filled nothing in) means every query.
       std::uint64_t mask = multi_query_ ? payload.value().query_mask : 1;
       if (mask == 0) mask = ~std::uint64_t{0};
-      bool attributed = false;
+      mask &= query_bits_;
+      if (mask == 0) break;
 
       // Forwarded tuples join against this node's *local* segment only
       // (the R_i x S_j decomposition of Section 2); discovered pairs are
-      // shipped back to the tuple's origin, per query. The local windows
-      // are scanned lazily, once per probe group the mask touches — masked
-      // queries of one half-width share the match list (nothing inserts
-      // into local_ during a frame).
-      std::fill(group_collected_.begin(), group_collected_.end(), false);
-      for (std::size_t i = 0; i < queries_.size(); ++i) {
-        if ((mask & (std::uint64_t{1} << i)) == 0) continue;
-        QueryRuntime& query = queries_[i];
-        if (!attributed) {
-          ++query.received_tuples;  // frame charged to its lowest query
-          attributed = true;
-        }
-        const std::size_t g = group_of_query_[i];
-        if (!group_collected_[g]) {
-          group_matches_[g].clear();
-          local_[opposite].collect_matches(tuple.key, tuple.timestamp,
-                                           probe_groups_[g].half_width,
-                                           group_matches_[g]);
-          group_collected_[g] = true;
-        }
+      // shipped back to the tuple's origin, per query. The local window is
+      // scanned once, at the widest half-width among the masked queries;
+      // each query keeps the matches inside its own window (nothing
+      // inserts into local_ during a frame).
+      double probe_width = 0.0;
+      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        probe_width = std::max(
+            probe_width,
+            queries_[static_cast<std::size_t>(std::countr_zero(m))]
+                .config.join_half_width_s);
+      }
+      frame_matches_.clear();
+      local_[opposite].collect_matches(tuple.key, tuple.timestamp,
+                                       probe_width, frame_matches_);
+      ++queries_[static_cast<std::size_t>(std::countr_zero(mask))]
+            .received_tuples;  // frame charged to its lowest query
+      for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+        QueryRuntime& query =
+            queries_[static_cast<std::size_t>(std::countr_zero(m))];
+        const double hw = query.config.join_half_width_s;
+        const double lo = tuple.timestamp - hw;
+        const double hi = tuple.timestamp + hw;
         frame_pairs_.clear();
-        for (const auto& match : group_matches_[g]) {
+        for (const auto& match : frame_matches_) {
+          if (hw != probe_width &&
+              (!(match.timestamp >= lo) || !(match.timestamp <= hi))) {
+            continue;
+          }
           const auto pair = make_pair(tuple, match);
           query.metrics->record_pair(pair, self_, now);
           frame_pairs_.push_back(pair);
         }
-        query.received[side].insert(tuple);
 
         // Controller feedback, reverse path: our local tuples covered
         // because the *partner* was forwarded here. Without this credit the
@@ -450,6 +478,11 @@ void Node::on_frame(net::Frame&& frame, double now) {
           send_result_frame(query, tuple.origin, frame_pairs_);
         }
       }
+      // Stored once for every masked query; each bit expires at its
+      // query's own horizon (evict). A tuple every query routed is stored
+      // unmasked, so single-query stores carry no mask column.
+      received_[side].insert(
+          tuple, mask == query_bits_ ? stream::TupleStore::kAllQueries : mask);
       break;
     }
     case net::FrameKind::kSummary: {
@@ -501,16 +534,16 @@ QueryCounters Node::query_counters(std::size_t index) const noexcept {
 }
 
 void Node::evict(double now) {
-  // The shared local windows retain to the widest query's horizon; each
-  // query's received store only needs its own.
+  // The shared local windows retain to the widest query's horizon; in the
+  // shared received stores each query's bit expires at its own.
   const double local_horizon =
       now - 2.0 * max_half_width_ - config_.retention_margin_s;
   for (auto& store : local_) store.evict_before(local_horizon);
-  for (auto& query : queries_) {
-    const double horizon =
-        now - 2.0 * query.config.join_half_width_s - config_.retention_margin_s;
-    for (auto& store : query.received) store.evict_before(horizon);
+  for (std::size_t i = 0; i < queries_.size(); ++i) {
+    received_horizons_[i] = now - 2.0 * queries_[i].config.join_half_width_s -
+                            config_.retention_margin_s;
   }
+  for (auto& store : received_) store.evict_masked(received_horizons_);
 }
 
 void Node::track_sent(QueryRuntime& query, std::uint64_t id, bool audited) {

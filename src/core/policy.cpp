@@ -10,8 +10,14 @@
 
 namespace dsjoin::core {
 
-RoutingPolicy::RoutingPolicy(SummarySubstrate& substrate)
-    : substrate_(&substrate) {}
+RoutingPolicy::RoutingPolicy(SummarySubstrate& substrate, net::NodeId self,
+                             std::uint32_t nodes)
+    : substrate_(&substrate), self_(self), nodes_(nodes) {
+  for (net::NodeId j = 0; j < nodes; ++j) {
+    if (j != self) peers_.push_back(j);
+  }
+  destinations_.reserve(peers_.size());
+}
 
 RoutingPolicy::~RoutingPolicy() = default;
 
@@ -47,11 +53,12 @@ double throttle_to_budget(double throttle, std::uint32_t nodes) noexcept {
   return std::clamp(std::pow(peers, t), 1.0, peers);
 }
 
-std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
-                                                double budget, double floor) {
+void allocate_flow_probabilities(std::span<const double> scores, double budget,
+                                 double floor, std::span<double> probs) {
   const std::size_t n = scores.size();
-  std::vector<double> probs(n, 0.0);
-  if (n == 0) return probs;
+  assert(probs.size() == n);
+  std::fill(probs.begin(), probs.end(), 0.0);
+  if (n == 0) return;
   floor = std::clamp(floor, 0.0, 1.0);
   budget = std::clamp(budget, 0.0, static_cast<double>(n));
 
@@ -60,13 +67,14 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
   if (score_sum <= 0.0) {
     // No signal at all: only the exploration floor flows.
     std::fill(probs.begin(), probs.end(), floor);
-    return probs;
+    return;
   }
 
   // Water-fill p_j = min(1, floor + w * s_j) with sum p_j = budget.
   // Iteratively saturate: peers that hit 1 are fixed, the rest share the
   // remaining budget proportionally to score. Terminates in <= n rounds.
-  std::vector<bool> saturated(n, false);
+  // A peer is saturated exactly when its p is 1.0: an unsaturated peer's p
+  // is 0 (before the first round) or a value below 1.
   double fixed = 0.0;        // mass already assigned to saturated peers
   std::size_t sat_count = 0;
   for (std::size_t round = 0; round < n; ++round) {
@@ -75,22 +83,21 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
     if (remaining < 0.0) remaining = 0.0;
     double active_score = 0.0;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!saturated[j]) active_score += std::max(scores[j], 0.0);
+      if (probs[j] != 1.0) active_score += std::max(scores[j], 0.0);
     }
     if (active_score <= 0.0) {
       for (std::size_t j = 0; j < n; ++j) {
-        if (!saturated[j]) probs[j] = floor;
+        if (probs[j] != 1.0) probs[j] = floor;
       }
       break;
     }
     const double w = remaining / active_score;
     bool newly_saturated = false;
     for (std::size_t j = 0; j < n; ++j) {
-      if (saturated[j]) continue;
+      if (probs[j] == 1.0) continue;
       const double p = floor + w * std::max(scores[j], 0.0);
       if (p >= 1.0) {
         probs[j] = 1.0;
-        saturated[j] = true;
         fixed += 1.0;
         ++sat_count;
         newly_saturated = true;
@@ -100,7 +107,32 @@ std::vector<double> allocate_flow_probabilities(std::span<const double> scores,
     }
     if (!newly_saturated) break;
   }
-  return probs;
+}
+
+std::span<const net::NodeId> RoutingPolicy::draw_destinations(
+    common::Xoshiro256& rng, double budget, double floor) {
+  assert(scores_.size() == peers_.size());
+  probs_.resize(scores_.size());
+  allocate_flow_probabilities(scores_, budget, floor, probs_);
+  destinations_.clear();
+  last_probs_.assign(nodes_, 0.0);
+  for (std::size_t idx = 0; idx < peers_.size(); ++idx) {
+    last_probs_[peers_[idx]] = probs_[idx];
+    if (rng.next_bool(probs_[idx])) destinations_.push_back(peers_[idx]);
+  }
+  return destinations_;
+}
+
+std::span<const net::NodeId> RoutingPolicy::round_robin(net::NodeId& cursor,
+                                                        double budget) {
+  const auto k = static_cast<std::uint32_t>(std::lround(budget));
+  destinations_.clear();
+  for (std::uint32_t step = 0; step < k && step + 1 < nodes_; ++step) {
+    cursor = (cursor + 1) % nodes_;
+    if (cursor == self_) cursor = (cursor + 1) % nodes_;
+    destinations_.push_back(cursor);
+  }
+  return destinations_;
 }
 
 std::unique_ptr<RoutingPolicy> RoutingPolicy::create(const SystemConfig& config,
@@ -178,33 +210,18 @@ PolicyKind policy_from_string(const std::string& name) {
 
 BasePolicy::BasePolicy(const SystemConfig& config, net::NodeId self,
                        SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), self_(self), nodes_(config.nodes) {}
+    : RoutingPolicy(substrate, self, config.nodes) {}
 
-std::vector<net::NodeId> BasePolicy::route(const stream::Tuple&) {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_ - 1);
-  for (net::NodeId j = 0; j < nodes_; ++j) {
-    if (j != self_) out.push_back(j);
-  }
-  return out;
+std::span<const net::NodeId> BasePolicy::route(const stream::Tuple&) {
+  return peers_;
 }
 
 RoundRobinPolicy::RoundRobinPolicy(const SystemConfig& config, net::NodeId self,
                                    SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), self_(self), nodes_(config.nodes),
-      throttle_(config.throttle) {}
+    : RoutingPolicy(substrate, self, config.nodes), throttle_(config.throttle) {}
 
-std::vector<net::NodeId> RoundRobinPolicy::route(const stream::Tuple&) {
-  const auto budget = throttle_to_budget(throttle_, nodes_);
-  const auto k = static_cast<std::uint32_t>(std::lround(budget));
-  std::vector<net::NodeId> out;
-  out.reserve(k);
-  for (std::uint32_t step = 0; step < k && step + 1 < nodes_; ++step) {
-    cursor_ = (cursor_ + 1) % nodes_;
-    if (cursor_ == self_) cursor_ = (cursor_ + 1) % nodes_;
-    out.push_back(cursor_);
-  }
-  return out;
+std::span<const net::NodeId> RoundRobinPolicy::route(const stream::Tuple&) {
+  return round_robin(cursor_, throttle_to_budget(throttle_, nodes_));
 }
 
 }  // namespace dsjoin::core

@@ -94,43 +94,29 @@ std::vector<OutboundSummary> BloomSummaryEngine::maintenance(double /*now*/) {
 
 BloomPolicy::BloomPolicy(const SystemConfig& config, net::NodeId self,
                          SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
+    : RoutingPolicy(substrate, self, config.nodes), config_(config),
       throttle_(config.throttle), engine_(&substrate.bloom()),
       rng_(config.seed ^ (0xb100'beefULL + self)) {}
 
-std::vector<net::NodeId> BloomPolicy::route(const stream::Tuple& tuple) {
-  const std::uint32_t n = config_.nodes;
-  const double budget = throttle_to_budget(throttle_, n);
+std::span<const net::NodeId> BloomPolicy::route(const stream::Tuple& tuple) {
+  const double budget = throttle_to_budget(throttle_, config_.nodes);
   const auto opposite = static_cast<std::size_t>(stream::opposite(tuple.side));
 
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
+  scores_.clear();
+  for (const net::NodeId j : peers_) {
     if (!engine_->remote_seeded(j, opposite)) {
-      scores.push_back(1.0);  // bootstrap exploration
+      scores_.push_back(1.0);  // bootstrap exploration
     } else {
       // Bloom filters hold the exact remote keys, so the membership query is
       // the exact join predicate (no reconstruction slack).
-      scores.push_back(engine_->remote_contains(j, opposite, tuple.key, 0)
-                           ? 1.0
-                           : 0.0);
+      scores_.push_back(engine_->remote_contains(j, opposite, tuple.key, 0)
+                            ? 1.0
+                            : 0.0);
     }
   }
 
   // Membership is key-dependent: non-hits are explored only lightly.
-  const double floor = std::pow(throttle_, 6);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
+  return draw_destinations(rng_, budget, std::pow(throttle_, 6));
 }
 
 }  // namespace dsjoin::core

@@ -20,7 +20,7 @@ DftSummaryEngine::DftSummaryEngine(const SystemConfig& config, net::NodeId self)
     : config_(config), self_(self),
       local_{dsp::SlidingDft(config.dft_window, config.dft_retained()),
              dsp::SlidingDft(config.dft_window, config.dft_retained())} {
-  // Control-vector style drift management: exact recompute every 4 windows.
+  // Drift management: exact recompute every 4 windows.
   for (auto& dft : local_) {
     dft.set_renormalize_interval(static_cast<std::uint64_t>(config.dft_window) * 4);
   }
@@ -240,41 +240,36 @@ double DftSummaryEngine::refreshed_rho(net::NodeId peer, std::size_t tuple_side)
 
 DftFamilyPolicy::DftFamilyPolicy(const SystemConfig& config, net::NodeId self,
                                  SummarySubstrate& substrate, bool reconstruct)
-    : RoutingPolicy(substrate), config_(config), self_(self),
+    : RoutingPolicy(substrate, self, config.nodes), config_(config),
       reconstruct_(reconstruct), throttle_(config.throttle),
       engine_(&substrate.coeff()),
       rng_(config.seed ^ (0xd5f7'0000ULL + self)) {}
 
-std::vector<net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
+std::span<const net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
   const std::uint32_t n = config_.nodes;
   const double budget = throttle_to_budget(throttle_, n);
   const std::size_t side = side_index(tuple.side);
   const std::size_t opposite = 1 - side;
 
   // Gather per-peer scores (self excluded; compacted into peer order).
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  std::vector<double> rhos;
-  peer_ids.reserve(n - 1);
-  scores.reserve(n - 1);
+  scores_.clear();
+  rhos_.clear();
   bool all_seeded = true;
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
+  for (const net::NodeId j : peers_) {
     if (!engine_->remote_seeded(j, opposite)) {
       all_seeded = false;
-      scores.push_back(1.0);  // bootstrap: explore unseeded peers
-      rhos.push_back(0.0);
+      scores_.push_back(1.0);  // bootstrap: explore unseeded peers
+      rhos_.push_back(0.0);
       continue;
     }
     const double rho = engine_->refreshed_rho(j, side);
-    rhos.push_back(rho);
+    rhos_.push_back(rho);
     if (reconstruct_) {
       const auto est = engine_->estimate_count(j, opposite, tuple.key,
                                                config_.membership_tolerance);
-      scores.push_back(static_cast<double>(est));
+      scores_.push_back(static_cast<double>(est));
     } else {
-      scores.push_back(std::max(rho, 0.0));
+      scores_.push_back(std::max(rho, 0.0));
     }
   }
 
@@ -283,25 +278,19 @@ std::vector<net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
   // round-robin at the same budget.
   const bool warmed_up =
       engine_->local_tuples() > 3ull * config_.summary_epoch_tuples;
-  if (all_seeded && warmed_up && !peer_ids.empty()) {
+  if (all_seeded && warmed_up && !peers_.empty()) {
     double mean = 0.0;
-    for (double r : rhos) mean += r;
-    mean /= static_cast<double>(rhos.size());
+    for (double r : rhos_) mean += r;
+    mean /= static_cast<double>(rhos_.size());
     double var = 0.0;
-    for (double r : rhos) var += (r - mean) * (r - mean);
-    var /= static_cast<double>(rhos.size());
+    for (double r : rhos_) var += (r - mean) * (r - mean);
+    var /= static_cast<double>(rhos_.size());
     // Scale-free detection: equal correlation with all neighbors means the
     // scores' relative spread vanishes, not their absolute variance.
     fallback_ = mean > 0.0 && std::sqrt(var) < config_.uniform_detection_cv * mean;
   }
   if (fallback_) {
-    const auto k = static_cast<std::uint32_t>(std::lround(budget));
-    std::vector<net::NodeId> out;
-    for (std::uint32_t step = 0; step < k && step + 1 < n; ++step) {
-      rr_cursor_ = (rr_cursor_ + 1) % n;
-      if (rr_cursor_ == self_) rr_cursor_ = (rr_cursor_ + 1) % n;
-      out.push_back(rr_cursor_);
-    }
+    const auto out = round_robin(rr_cursor_, budget);
     last_probs_.assign(n, budget / static_cast<double>(n - 1));
     last_probs_[self_] = 0.0;
     return out;
@@ -313,15 +302,7 @@ std::vector<net::NodeId> DftFamilyPolicy::route(const stream::Tuple& tuple) {
   const double floor =
       reconstruct_ ? std::pow(throttle_, 6)
                    : 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
+  return draw_destinations(rng_, budget, floor);
 }
 
 }  // namespace dsjoin::core

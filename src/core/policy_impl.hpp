@@ -24,12 +24,8 @@ class BasePolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kBase);
   }
-  std::vector<net::NodeId> route(const stream::Tuple&) override;
+  std::span<const net::NodeId> route(const stream::Tuple&) override;
   void set_throttle(double) override {}
-
- private:
-  net::NodeId self_;
-  std::uint32_t nodes_;
 };
 
 /// RR: round-robin to ~T_i peers per tuple — the paper's fallback heuristic
@@ -42,12 +38,10 @@ class RoundRobinPolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kRoundRobin);
   }
-  std::vector<net::NodeId> route(const stream::Tuple&) override;
+  std::span<const net::NodeId> route(const stream::Tuple&) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
 
  private:
-  net::NodeId self_;
-  std::uint32_t nodes_;
   double throttle_;
   net::NodeId cursor_ = 0;
 };
@@ -62,21 +56,19 @@ class DftFamilyPolicy : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(reconstruct_ ? PolicyKind::kDftt : PolicyKind::kDft);
   }
-  std::vector<net::NodeId> route(const stream::Tuple& tuple) override;
+  std::span<const net::NodeId> route(const stream::Tuple& tuple) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
   bool fallback_active() const noexcept override { return fallback_; }
-  std::vector<double> flow_probabilities() const override { return last_probs_; }
 
  private:
   SystemConfig config_;
-  net::NodeId self_;
   bool reconstruct_;
   double throttle_;
   DftSummaryEngine* engine_;
   common::Xoshiro256 rng_;
   bool fallback_ = false;
   net::NodeId rr_cursor_ = 0;
-  std::vector<double> last_probs_;
+  std::vector<double> rhos_;  // route() scratch, per peer
 };
 
 /// BLOOM: routing on membership in peers' counting-Bloom snapshots.
@@ -88,17 +80,14 @@ class BloomPolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kBloom);
   }
-  std::vector<net::NodeId> route(const stream::Tuple& tuple) override;
+  std::span<const net::NodeId> route(const stream::Tuple& tuple) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
-  std::vector<double> flow_probabilities() const override { return last_probs_; }
 
  private:
   SystemConfig config_;
-  net::NodeId self_;
   double throttle_;
   BloomSummaryEngine* engine_;
   common::Xoshiro256 rng_;
-  std::vector<double> last_probs_;
 };
 
 /// SKCH: flow weights from pairwise AGMS join-size estimates.
@@ -110,17 +99,14 @@ class SketchPolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kSketch);
   }
-  std::vector<net::NodeId> route(const stream::Tuple& tuple) override;
+  std::span<const net::NodeId> route(const stream::Tuple& tuple) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
-  std::vector<double> flow_probabilities() const override { return last_probs_; }
 
  private:
   SystemConfig config_;
-  net::NodeId self_;
   double throttle_;
   SketchSummaryEngine* engine_;
   common::Xoshiro256 rng_;
-  std::vector<double> last_probs_;
 };
 
 /// SPEC (ablation A3, ours): flow weights from the truncated Parseval
@@ -133,17 +119,14 @@ class SpectrumPolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kSpectrum);
   }
-  std::vector<net::NodeId> route(const stream::Tuple& tuple) override;
+  std::span<const net::NodeId> route(const stream::Tuple& tuple) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
-  std::vector<double> flow_probabilities() const override { return last_probs_; }
 
  private:
   SystemConfig config_;
-  net::NodeId self_;
   double throttle_;
   SpectrumSummaryEngine* engine_;
   common::Xoshiro256 rng_;
-  std::vector<double> last_probs_;
 };
 
 /// SMPL (ours): per-key flow weights from Horvitz–Thompson match estimates
@@ -157,21 +140,22 @@ class SamplePolicy final : public RoutingPolicy {
   const char* name() const noexcept override {
     return to_string(PolicyKind::kSample);
   }
-  std::vector<net::NodeId> route(const stream::Tuple& tuple) override;
+  std::span<const net::NodeId> route(const stream::Tuple& tuple) override;
   void set_throttle(double throttle) override { throttle_ = throttle; }
-  std::vector<double> flow_probabilities() const override { return last_probs_; }
   EpsilonBoundTerms epsilon_bound_terms() const noexcept override {
     return bound_;
   }
 
  private:
   SystemConfig config_;
-  net::NodeId self_;
   double throttle_;
   SampleSummaryEngine* engine_;
   common::Xoshiro256 rng_;
-  std::vector<double> last_probs_;
   EpsilonBoundTerms bound_;
+  // route() scratch, per peer: HT mean match mass credited to the bound,
+  // and confidence-inflated match mass.
+  std::vector<double> means_;
+  std::vector<double> upper_;
 };
 
 }  // namespace dsjoin::core

@@ -99,11 +99,11 @@ std::vector<OutboundSummary> SampleSummaryEngine::maintenance(double /*now*/) {
 
 SamplePolicy::SamplePolicy(const SystemConfig& config, net::NodeId self,
                            SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
+    : RoutingPolicy(substrate, self, config.nodes), config_(config),
       throttle_(config.throttle), engine_(&substrate.sample()),
       rng_(config.seed ^ (0x5a3f'beefULL + self)) {}
 
-std::vector<net::NodeId> SamplePolicy::route(const stream::Tuple& tuple) {
+std::span<const net::NodeId> SamplePolicy::route(const stream::Tuple& tuple) {
   const std::uint32_t n = config_.nodes;
   const double budget = throttle_to_budget(throttle_, n);
   const auto side = static_cast<std::size_t>(tuple.side);
@@ -115,50 +115,41 @@ std::vector<net::NodeId> SamplePolicy::route(const stream::Tuple& tuple) {
   const auto self_est = sampling::estimate_key_count(
       engine_->own_summary(opposite), tuple.key, tolerance);
 
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;   // routing weight per peer
-  std::vector<double> means;    // HT mean match mass credited to the bound
-  std::vector<double> upper;    // confidence-inflated match mass per peer
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
+  scores_.clear();  // routing weight per peer
+  means_.clear();
+  upper_.clear();
+  for (const net::NodeId j : peers_) {
     const auto* remote = engine_->remote(j, opposite);
     if (remote == nullptr) {
       // Bootstrap: no sample from this peer yet. Explore with full weight,
       // credit the peer no found mass, and charge the bound as if it held
       // as much matching mass as our own window (at least one tuple) —
       // unseeded peers must never make the bound smaller.
-      scores.push_back(1.0);
-      means.push_back(0.0);
-      upper.push_back(
+      scores_.push_back(1.0);
+      means_.push_back(0.0);
+      upper_.push_back(
           std::max(sampling::upper_confidence(self_est), 1.0));
     } else {
       const auto est = sampling::estimate_key_count(*remote, tuple.key,
                                                     tolerance);
-      scores.push_back(est.mean);
-      means.push_back(est.mean);
-      upper.push_back(est.mean > 0.0 || est.variance > 0.0
-                          ? sampling::upper_confidence(est)
-                          : unseen_upper(*remote));
+      scores_.push_back(est.mean);
+      means_.push_back(est.mean);
+      upper_.push_back(est.mean > 0.0 || est.variance > 0.0
+                           ? sampling::upper_confidence(est)
+                           : unseen_upper(*remote));
     }
   }
 
   // Membership-style semantics: when no peer shows matching mass, only the
   // exploration floor flows (unlike SKCH, SMPL can "send almost nothing").
-  const double floor = 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
+  const auto out = draw_destinations(
+      rng_, budget, 0.05 * budget / static_cast<double>(n - 1));
 
   double missed = 0.0;
   double total = self_est.mean;
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    const double p = probs[idx];
-    last_probs_[peer_ids[idx]] = p;
-    missed += (1.0 - p) * upper[idx];
-    total += means[idx];
-    if (rng_.next_bool(p)) out.push_back(peer_ids[idx]);
+  for (std::size_t idx = 0; idx < peers_.size(); ++idx) {
+    missed += (1.0 - probs_[idx]) * upper_[idx];
+    total += means_[idx];
   }
   bound_.missed_mass += missed;
   bound_.total_mass += total;

@@ -118,47 +118,35 @@ double SpectrumSummaryEngine::refreshed_estimate(net::NodeId peer,
 }
 
 SpectrumPolicy::SpectrumPolicy(const SystemConfig& config, net::NodeId self,
-                               SummarySubstrate& substrate)
-    : RoutingPolicy(substrate), config_(config), self_(self),
+                              SummarySubstrate& substrate)
+    : RoutingPolicy(substrate, self, config.nodes), config_(config),
       throttle_(config.throttle), engine_(&substrate.spectrum()),
       rng_(config.seed ^ (0x4e57'beefULL + self)) {}
 
-std::vector<net::NodeId> SpectrumPolicy::route(const stream::Tuple& tuple) {
+std::span<const net::NodeId> SpectrumPolicy::route(const stream::Tuple& tuple) {
   const std::uint32_t n = config_.nodes;
   const double budget = throttle_to_budget(throttle_, n);
   const auto side = static_cast<std::size_t>(tuple.side);
   const std::size_t opposite = 1 - side;
 
-  std::vector<net::NodeId> peer_ids;
-  std::vector<double> scores;
-  peer_ids.reserve(n - 1);
-  for (net::NodeId j = 0; j < n; ++j) {
-    if (j == self_) continue;
-    peer_ids.push_back(j);
+  scores_.clear();
+  for (const net::NodeId j : peers_) {
     if (!engine_->remote_seeded(j, opposite)) {
-      scores.push_back(1.0);  // bootstrap exploration
+      scores_.push_back(1.0);  // bootstrap exploration
     } else {
-      scores.push_back(engine_->refreshed_estimate(j, side));
+      scores_.push_back(engine_->refreshed_estimate(j, side));
     }
   }
 
   // Key-independent weights, like SKCH; uniform spread when the estimates
   // carry no signal at all.
   double score_sum = 0.0;
-  for (double v : scores) score_sum += v;
+  for (double v : scores_) score_sum += v;
   if (score_sum <= 0.0) {
-    std::fill(scores.begin(), scores.end(), 1.0);
+    std::fill(scores_.begin(), scores_.end(), 1.0);
   }
-  const double floor = 0.05 * budget / static_cast<double>(n - 1);
-  const auto probs = allocate_flow_probabilities(scores, budget, floor);
-
-  std::vector<net::NodeId> out;
-  last_probs_.assign(n, 0.0);
-  for (std::size_t idx = 0; idx < peer_ids.size(); ++idx) {
-    last_probs_[peer_ids[idx]] = probs[idx];
-    if (rng_.next_bool(probs[idx])) out.push_back(peer_ids[idx]);
-  }
-  return out;
+  return draw_destinations(rng_, budget,
+                           0.05 * budget / static_cast<double>(n - 1));
 }
 
 }  // namespace dsjoin::core

@@ -7,8 +7,18 @@
 
 namespace dsjoin::core {
 
+namespace {
+std::vector<double> half_widths(const std::vector<QuerySpec>& specs) {
+  std::vector<double> widths;
+  widths.reserve(specs.size());
+  for (const QuerySpec& spec : specs) widths.push_back(spec.join_half_width_s);
+  return widths;
+}
+}  // namespace
+
 DspSystem::DspSystem(const SystemConfig& config)
-    : config_(config), specs_(effective_queries(config)), source_(config) {
+    : config_(config), specs_(effective_queries(config)),
+      oracle_(half_widths(specs_)), source_(config) {
   if (config.nodes < 2) {
     throw std::invalid_argument("a distributed join needs at least 2 nodes");
   }
@@ -19,13 +29,11 @@ DspSystem::DspSystem(const SystemConfig& config)
 
   query_metrics_.reserve(specs_.size());
   metrics_ptrs_.reserve(specs_.size());
-  oracles_.reserve(specs_.size());
-  for (const QuerySpec& spec : specs_) {
+  for (std::size_t q = 0; q < specs_.size(); ++q) {
     query_metrics_.push_back(std::make_unique<MetricsCollector>());
     query_metrics_.back()->set_node_count(config.nodes);
     query_metrics_.back()->set_epoch_group(this);
     metrics_ptrs_.push_back(query_metrics_.back().get());
-    oracles_.emplace_back(spec.join_half_width_s);
   }
   hosts_.resize(config.nodes);
   arrival_scratch_.resize(config.nodes);
@@ -54,12 +62,7 @@ void DspSystem::install_node(net::NodeId id) {
       hosts_[id]->deliver(std::move(frame), now);
       return;
     }
-    epoch_tasks_.push_back(EpochTask{
-        id, now,
-        [this, id, now, f = std::move(frame)]() mutable {
-          hosts_[id]->deliver(std::move(f), now);
-        },
-        false, {}});
+    epoch_tasks_.push_back(EpochTask{id, now, false, {}, std::move(frame)});
   });
 }
 
@@ -88,7 +91,7 @@ void DspSystem::defer_arrival(net::NodeId node, double when,
     hosts_[node]->ingest(tuple, when);
     return;
   }
-  epoch_tasks_.push_back(EpochTask{node, when, {}, true, tuple});
+  epoch_tasks_.push_back(EpochTask{node, when, true, tuple, {}});
 }
 
 void DspSystem::schedule_restart(net::NodeId node, double at) {
@@ -120,9 +123,7 @@ void DspSystem::schedule_arrival(net::NodeId node, stream::StreamSide side,
     // in nondecreasing timestamp order. The oracle is global state and
     // therefore stays on the (serial) dispatch path; the node's per-tuple
     // work is what the parallel driver fans out.
-    if (config_.oracle_enabled) {
-      for (ExactJoinOracle& oracle : oracles_) oracle.observe(tuple);
-    }
+    if (config_.oracle_enabled) oracle_.observe(tuple);
     defer_arrival(node, now, tuple);
 
     schedule_arrival(node, side, now + source_.next_gap(node, side));
@@ -178,7 +179,7 @@ ExperimentResult DspSystem::run() {
   for (std::size_t q = 0; q < specs_.size(); ++q) {
     QueryResult& query = result.per_query[q];
     query.query_id = specs_[q].id;
-    query.exact_pairs = oracles_[q].total_pairs();
+    query.exact_pairs = oracle_.total_pairs(q);
     query.reported_pairs = query_metrics_[q]->distinct_pairs();
     query.pairs = query_metrics_[q]->pairs();
     query_pairs.emplace_back(query.pairs);
@@ -273,7 +274,7 @@ void DspSystem::execute_epoch(common::ThreadPool& pool,
           // One bind covers every collector: they share this system's
           // epoch group, so the tls tag matches all of them.
           query_metrics_.front()->bind_epoch_slot(index);
-          task.fn();
+          hosts_[task.node]->deliver(std::move(task.frame), task.when);
           ++li;
           continue;
         }

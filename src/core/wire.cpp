@@ -23,6 +23,10 @@ std::uint32_t payload_checksum(std::span<const std::uint8_t> bytes) noexcept {
 
 namespace {
 
+// Trailing checksum appended by seal(). Encoders reserve it up front, so
+// sealing never reallocates the payload.
+constexpr std::size_t kChecksumBytes = 4;
+
 std::vector<std::uint8_t> seal(BufferWriter&& writer) {
   auto bytes = std::move(writer).take();
   const std::uint32_t sum = payload_checksum(bytes);
@@ -78,7 +82,7 @@ Result<SummaryStamp> read_stamp(BufferReader& in) {
 }  // namespace
 
 std::vector<std::uint8_t> TuplePayload::encode(bool with_query_ids) const {
-  BufferWriter out(64 + piggyback.size());
+  BufferWriter out(64 + piggyback.size() + kChecksumBytes);
   tuple.serialize(out);
   if (with_query_ids) out.write_u64(query_mask);
   out.write_u32(static_cast<std::uint32_t>(piggyback.bytes.size()));
@@ -123,7 +127,7 @@ Result<TuplePayload> TuplePayload::decode(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> SummaryPayload::encode() const {
-  BufferWriter out(25 + block.size());
+  BufferWriter out(25 + block.size() + kChecksumBytes);
   // Stamp first: the virtual-time header sits at a fixed offset so tooling
   // (and the fuzz corpus) can patch it without re-parsing the block.
   write_stamp(stamp, out);
@@ -151,7 +155,7 @@ Result<SummaryPayload> SummaryPayload::decode(std::span<const std::uint8_t> byte
 }
 
 std::vector<std::uint8_t> ResultPayload::encode(bool with_query_ids) const {
-  BufferWriter out(8 + pairs.size() * 16);
+  BufferWriter out(8 + pairs.size() * 16 + kChecksumBytes);
   if (with_query_ids) out.write_u32(query_id);
   out.write_u32(static_cast<std::uint32_t>(pairs.size()));
   for (const auto& p : pairs) {

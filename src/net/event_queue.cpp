@@ -5,7 +5,8 @@
 
 namespace dsjoin::net {
 
-void EventQueue::push(SimTime when, bool barrier, Callback fn) {
+void EventQueue::push(SimTime when, std::uint64_t sequence, bool barrier,
+                      Callback fn) {
   assert(when >= now_ && "cannot schedule into the past");
   std::uint32_t slot;
   if (free_.empty()) {
@@ -16,15 +17,21 @@ void EventQueue::push(SimTime when, bool barrier, Callback fn) {
     free_.pop_back();
     slab_[slot] = std::move(fn);
   }
-  heap_.push(Key{when < now_ ? now_ : when, next_sequence_++, slot, barrier});
+  heap_.push(Key{when < now_ ? now_ : when, sequence, slot, barrier});
 }
 
 void EventQueue::schedule_at(SimTime when, Callback fn) {
-  push(when, false, std::move(fn));
+  push(when, next_sequence_++, false, std::move(fn));
+}
+
+void EventQueue::schedule_reserved_at(SimTime when, std::uint64_t sequence,
+                                      Callback fn) {
+  assert(sequence < next_sequence_ && "sequence was never reserved");
+  push(when, sequence, false, std::move(fn));
 }
 
 void EventQueue::schedule_barrier_at(SimTime when, Callback fn) {
-  push(when, true, std::move(fn));
+  push(when, next_sequence_++, true, std::move(fn));
 }
 
 bool EventQueue::run_one() {

@@ -42,6 +42,19 @@ class EventQueue {
   /// Schedules `fn` `delay` seconds from now.
   void schedule_in(SimTime delay, Callback fn) { schedule_at(now_ + delay, std::move(fn)); }
 
+  /// Draws the tie-breaking sequence number schedule_at would draw now,
+  /// without scheduling anything. A producer that holds events back (the
+  /// simulated links keep each link's in-flight frames in their own FIFO
+  /// and queue only its head) reserves at the moment it would have
+  /// scheduled, then enters the event later with schedule_reserved_at; the
+  /// (when, sequence) pop order is then exactly that of scheduling at once.
+  std::uint64_t reserve_sequence() noexcept { return next_sequence_++; }
+
+  /// Schedules `fn` at `when` under a sequence number obtained earlier from
+  /// reserve_sequence(). The caller must enter the event before any pending
+  /// event ordered after it runs.
+  void schedule_reserved_at(SimTime when, std::uint64_t sequence, Callback fn);
+
   /// Schedules a *barrier* event: run_epoch() and the parallel driver's
   /// dispatch loop stop in front of it so it executes alone, after every
   /// earlier event's effects are fully applied. Serial execution order is
@@ -94,7 +107,7 @@ class EventQueue {
     }
   };
 
-  void push(SimTime when, bool barrier, Callback fn);
+  void push(SimTime when, std::uint64_t sequence, bool barrier, Callback fn);
 
   std::priority_queue<Key, std::vector<Key>, Later> heap_;
   std::vector<Callback> slab_;       // callbacks of pending events

@@ -10,6 +10,12 @@
 //    or the paper's literal pause-per-90kbit burst shaping;
 //  * ordering: per-link FIFO is enforced (TCP semantics) even when a later
 //    frame draws a smaller latency.
+//
+// Delivery: each directed link keeps its in-flight frames in a FIFO ring,
+// and the event queue holds one event per non-empty link — its head frame,
+// under the sequence number the frame reserved when it was sent (so the
+// global (time, sequence) order is exactly that of one event per frame).
+// When the head is delivered, the link's next frame takes its place.
 #pragma once
 
 #include <functional>
@@ -101,9 +107,11 @@ class SimTransport final : public Transport {
   // event-queue state a serial run would have produced.
   //
   // Contract: one epoch slot is driven by exactly one thread at a time,
-  // all frames of one sender come from slots run on the same thread
-  // (shared-nothing nodes), and begin/end_epoch are called from the
-  // driver thread with the worker phase strictly in between.
+  // all frames of one sender come from slots run on the same thread in
+  // increasing slot order (shared-nothing nodes; so a link's frames commit
+  // in the order they were sent, and its FIFO stays sorted by arrival),
+  // and begin/end_epoch are called from the driver thread with the worker
+  // phase strictly in between.
 
   /// Opens an epoch with `slots` send buffers (one per deferred task).
   void begin_epoch(std::size_t slots);
@@ -114,12 +122,41 @@ class SimTransport final : public Transport {
   void end_epoch();
 
  private:
+  /// A frame on the wire (its addresses are the link's), with its arrival
+  /// time and reserved event sequence.
+  struct InFlight {
+    std::vector<std::uint8_t> payload;
+    SimTime arrival = 0.0;
+    std::uint64_t sequence = 0;
+    std::uint32_t piggyback_bytes = 0;
+    FrameKind kind = FrameKind::kTuple;
+  };
+  /// FIFO of one link's in-flight frames: a ring that keeps its capacity,
+  /// so a steady-state link allocates nothing per frame. It grows by half
+  /// (not doubling), since every link keeps its own peak.
+  class FrameRing {
+   public:
+    bool empty() const noexcept { return count_ == 0; }
+    InFlight& front() noexcept { return slots_[head_]; }
+    void push_back(InFlight&& item);
+    void pop_front() noexcept {
+      if (++head_ == slots_.size()) head_ = 0;
+      --count_;
+    }
+
+   private:
+    std::vector<InFlight> slots_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
   struct Link {
     common::Xoshiro256 rng{0};
     SimTime busy_until = 0.0;        // when the link finishes serializing
     SimTime last_arrival = 0.0;      // FIFO floor for the next delivery
     double bits_since_pause = 0.0;   // pause-burst accumulator
     TrafficCounters counters;
+    FrameRing in_flight;             // committed frames, arrival order
   };
   struct Sender {
     SimTime busy_until = 0.0;        // shared NIC (per-node scope)
@@ -132,6 +169,14 @@ class SimTransport final : public Transport {
   const Link& link(NodeId from, NodeId to) const noexcept {
     return links_[static_cast<std::size_t>(from) * handlers_.size() + to];
   }
+
+  /// Commits a frame to its link: reserves its event sequence now and, if
+  /// the link was idle, queues the link's delivery event.
+  void enqueue(Frame&& frame, SimTime arrival);
+  /// The link event: delivers the head frame of link `index`, queueing the
+  /// next in-flight frame (if any) first.
+  void deliver_head(std::size_t index);
+  void schedule_head(std::size_t index);
 
   /// A send whose cross-node effects are deferred to the epoch barrier.
   struct PendingSend {

@@ -138,10 +138,61 @@ common::Status SimTransport::send(Frame&& frame) {
   // Delivery is committed: tee summary content to the virtual-time plane
   // (post-corruption, so a mangled block still fails its checksum there).
   if (summary_sink_ && summary_bearing(frame)) summary_sink_(frame);
-  DeliveryHandler& handler = handlers_[frame.to];
-  queue_.schedule_at(arrival,
-                     [&handler, f = std::move(frame)]() mutable { handler(std::move(f)); });
+  enqueue(std::move(frame), arrival);
   return common::Status::ok();
+}
+
+void SimTransport::FrameRing::push_back(InFlight&& item) {
+  if (count_ == slots_.size()) {
+    // Grow, unrolling the ring to start at 0.
+    std::vector<InFlight> grown(slots_.size() < 4 ? 4 : slots_.size() * 3 / 2);
+    for (std::size_t i = 0; i < count_; ++i) {
+      grown[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+    }
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  std::size_t tail = head_ + count_;
+  if (tail >= slots_.size()) tail -= slots_.size();
+  slots_[tail] = std::move(item);
+  ++count_;
+}
+
+void SimTransport::enqueue(Frame&& frame, SimTime arrival) {
+  // The sequence is drawn exactly where a per-frame event would have drawn
+  // it. Per-link arrivals strictly increase (the FIFO floor in send), so
+  // the ring's head always holds the link's smallest (arrival, sequence).
+  const std::size_t index =
+      static_cast<std::size_t>(frame.from) * handlers_.size() + frame.to;
+  FrameRing& ring = links_[index].in_flight;
+  const bool idle = ring.empty();
+  ring.push_back(InFlight{std::move(frame.payload), arrival,
+                          queue_.reserve_sequence(), frame.piggyback_bytes,
+                          frame.kind});
+  if (idle) schedule_head(index);
+}
+
+void SimTransport::schedule_head(std::size_t index) {
+  const InFlight& head = links_[index].in_flight.front();
+  // [this, index] fits std::function's inline buffer: no allocation.
+  queue_.schedule_reserved_at(head.arrival, head.sequence,
+                              [this, index] { deliver_head(index); });
+}
+
+void SimTransport::deliver_head(std::size_t index) {
+  FrameRing& ring = links_[index].in_flight;
+  InFlight& head = ring.front();
+  Frame frame;
+  frame.from = static_cast<NodeId>(index / handlers_.size());
+  frame.to = static_cast<NodeId>(index % handlers_.size());
+  frame.kind = head.kind;
+  frame.payload = std::move(head.payload);
+  frame.piggyback_bytes = head.piggyback_bytes;
+  ring.pop_front();
+  // The next frame enters the queue before anything else can pop: its key
+  // is larger than the one just popped, so no later event overtakes it.
+  if (!ring.empty()) schedule_head(index);
+  handlers_[frame.to](std::move(frame));
 }
 
 void SimTransport::begin_epoch(std::size_t slots) {
@@ -169,11 +220,7 @@ void SimTransport::end_epoch() {
         if (summary_sink_ && summary_bearing(pending.frame)) {
           summary_sink_(pending.frame);
         }
-        DeliveryHandler& handler = handlers_[pending.frame.to];
-        queue_.schedule_at(pending.arrival,
-                           [&handler, f = std::move(pending.frame)]() mutable {
-                             handler(std::move(f));
-                           });
+        enqueue(std::move(pending.frame), pending.arrival);
       }
     }
     slot.clear();

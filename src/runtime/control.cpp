@@ -188,7 +188,7 @@ MetricsReportMsg MetricsReportMsg::from_node_report(core::NodeReport report) {
   return msg;
 }
 
-core::NodeReport MetricsReportMsg::to_node_report() const {
+core::NodeReport MetricsReportMsg::to_node_report() && {
   core::NodeReport report;
   report.node_id = node_id;
   report.local_tuples = local_tuples;
@@ -198,8 +198,8 @@ core::NodeReport MetricsReportMsg::to_node_report() const {
   report.predicted_missed_mass = predicted_missed_mass;
   report.predicted_total_mass = predicted_total_mass;
   report.traffic = traffic;
-  report.queries = queries;
-  report.pairs = pairs;
+  report.queries = std::move(queries);
+  report.pairs = std::move(pairs);
   return report;
 }
 

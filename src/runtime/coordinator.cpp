@@ -273,15 +273,13 @@ RunReport Coordinator::run() {
   return report;
 }
 
-void Coordinator::finalize(const std::vector<Member>& members,
-                           RunReport* report) {
+void Coordinator::finalize(std::vector<Member>& members, RunReport* report) {
   std::vector<core::NodeReport> node_reports;
   node_reports.reserve(members.size());
-  for (std::size_t id = 0; id < members.size(); ++id) {
-    const Member& member = members[id];
+  for (Member& member : members) {
     if (!member.alive) ++report->nodes_failed;
     if (!member.reported) continue;
-    node_reports.push_back(member.report.to_node_report());
+    node_reports.push_back(std::move(member.report).to_node_report());
   }
   core::aggregate_node_reports(node_reports, report);
   if (options_.verify) {

@@ -123,7 +123,8 @@ struct MetricsReportMsg {
   std::vector<stream::ResultPair> pairs;
 
   static MetricsReportMsg from_node_report(core::NodeReport report);
-  core::NodeReport to_node_report() const;
+  /// Moves the pair lists out: the decoded message is spent afterwards.
+  core::NodeReport to_node_report() &&;
 
   std::vector<std::uint8_t> encode() const;
   static common::Result<MetricsReportMsg> decode(std::span<const std::uint8_t> bytes);

@@ -88,7 +88,8 @@ class Coordinator {
   /// Heartbeat-silence deaths are only enforced when asked: daemons
   /// legitimately go quiet while blocked in the FIN drain.
   void poll_members(std::vector<Member>* members, bool enforce_heartbeat);
-  void finalize(const std::vector<Member>& members, RunReport* report);
+  /// Aggregates the members' reports, moving their pair lists out.
+  void finalize(std::vector<Member>& members, RunReport* report);
 
   CoordinatorOptions options_;
   net::UniqueFd listener_;

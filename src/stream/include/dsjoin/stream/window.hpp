@@ -2,13 +2,12 @@
 //
 // Section 2 of the paper defines the window in terms of time duration,
 // number of tuples, or a landmark, and notes the approach is agnostic to the
-// choice. All three policies are implemented:
+// choice. The join uses two:
 //
 //  * TupleStore      — timestamp-retained, key-indexed store used by the
 //                      distributed join (time-duration semantics with a
 //                      retention margin so delayed arrivals still match);
-//  * CountWindow     — last-W tuples ring (also the window the DFT sees);
-//  * LandmarkWindow  — everything since the most recent landmark.
+//  * CountWindow     — last-W tuples ring (also the window the DFT sees).
 #pragma once
 
 #include <array>
@@ -41,17 +40,27 @@ struct StoredTuple {
 /// (the common case) and compacts a chunk in place — order-preserving —
 /// only when a late arrival broke its sort.
 ///
-/// Observable semantics are identical to the PR 1 per-key bucket store:
-/// inserts may arrive out of timestamp order, evict_before(t) drops exactly
-/// the tuples with timestamp < t present at the call, and for_each_match
+/// Observable semantics are identical to a per-key bucket store: inserts
+/// may arrive out of timestamp order, evict_before(t) drops exactly the
+/// tuples with timestamp < t present at the call, and for_each_match
 /// visits matches in per-key insertion order.
+///
+/// Query masks: every tuple carries a u64 mask, one bit per query that may
+/// see it (a chunk stores the column only once it holds a masked tuple). One store then serves several queries with different
+/// retention horizons: evict_masked clears each query's bit at its own
+/// horizon, and a query filters a masked probe by its bit. Query q sees
+/// exactly the tuples a store of its own (same inserts, evict_before at
+/// its horizon) would hold, in the same order.
 class TupleStore {
  public:
+  /// The mask of an unmasked insert: visible to every query.
+  static constexpr std::uint64_t kAllQueries = ~std::uint64_t{0};
+
   TupleStore() = default;
   TupleStore(TupleStore&&) = default;
   TupleStore& operator=(TupleStore&&) = default;
 
-  void insert(const Tuple& tuple);
+  void insert(const Tuple& tuple, std::uint64_t mask = kAllQueries);
 
   /// Inserts every tuple in order; state after the call is identical to
   /// calling insert() per tuple (appends are the only mutation, so this is
@@ -60,6 +69,13 @@ class TupleStore {
 
   /// Drops every tuple with timestamp < min_timestamp.
   void evict_before(double min_timestamp);
+
+  /// Per-query eviction: clears bit q on every tuple with timestamp <
+  /// horizons[q], then drops every tuple left with no bit below
+  /// horizons.size() (1 <= horizons.size() <= 64). Horizons may come in
+  /// any order, call to call. Inserts into a store evicted this way must
+  /// carry at least one bit below horizons.size().
+  void evict_masked(std::span<const double> horizons);
 
   /// Number of stored tuples with the given key and timestamp within
   /// [center - half_width, center + half_width].
@@ -75,6 +91,12 @@ class TupleStore {
   /// for_each_match, without the per-match indirect call.
   void collect_matches(std::int64_t key, double center, double half_width,
                        std::vector<StoredTuple>& out) const;
+
+  /// As collect_matches, also appending each match's query mask to `masks`
+  /// (masks[k] belongs to out[k]).
+  void collect_matches(std::int64_t key, double center, double half_width,
+                       std::vector<StoredTuple>& out,
+                       std::vector<std::uint64_t>& masks) const;
 
   /// counts[i] = count_matches(probes[i].key, probes[i].timestamp,
   /// half_width) for every probe, in one pass over the store API.
@@ -106,6 +128,7 @@ class TupleStore {
     std::vector<double> ts;
     std::vector<std::uint64_t> ids;
     std::vector<net::NodeId> origins;
+    std::vector<std::uint64_t> masks;  // empty: every tuple kAllQueries
     std::size_t live_begin = 0;
     double live_min = std::numeric_limits<double>::infinity();
     double max_ts = -std::numeric_limits<double>::infinity();
@@ -128,6 +151,18 @@ class TupleStore {
     return static_cast<std::size_t>(
         (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> 58);
   }
+
+  /// Calls fn(chunk, index) for every match of the probe, in per-key
+  /// insertion order (the one scan behind every probe entry point).
+  template <class Fn>
+  void visit_matches(std::int64_t key, double center, double half_width,
+                     Fn&& fn) const;
+
+  /// Keeps the live tuples for which keep(index) holds, in order, moving
+  /// them to the front of the chunk; recomputes the chunk's bounds and
+  /// sort flag and updates size_.
+  template <class Keep>
+  void compact(Chunk& c, Keep keep);
 
   std::array<Partition, kPartitions> parts_;
   std::size_t size_ = 0;
@@ -161,28 +196,6 @@ class CountWindow {
   std::size_t capacity_;
   std::deque<Tuple> ring_;
   std::unordered_map<std::int64_t, std::uint64_t> key_counts_;
-};
-
-/// Everything since the last landmark (e.g. "since market open").
-class LandmarkWindow {
- public:
-  explicit LandmarkWindow(double landmark_time = 0.0);
-
-  /// Inserts if the tuple is at or after the landmark; pre-landmark tuples
-  /// are ignored and false is returned.
-  bool insert(const Tuple& tuple);
-
-  /// Moves the landmark forward, discarding older tuples.
-  void reset_landmark(double landmark_time);
-
-  std::uint64_t count_matches(std::int64_t key) const;
-  std::size_t size() const noexcept { return size_; }
-  double landmark() const noexcept { return landmark_; }
-
- private:
-  double landmark_;
-  std::unordered_map<std::int64_t, std::vector<StoredTuple>> by_key_;
-  std::size_t size_ = 0;
 };
 
 /// Brute-force reference join: all pairs (r, s) with equal keys and

@@ -94,5 +94,39 @@ TEST(ExactJoinOracle, EvictionDoesNotLoseLivePairs) {
   EXPECT_EQ(oracle.total_pairs(), expected);
 }
 
+TEST(ExactJoinOracle, MultiWidthMatchesSingleWidthOraclesAndReference) {
+  // One oracle for several queries (repeated and distinct half-widths, the
+  // widest not first) against one single-width oracle per query and the
+  // brute-force join. The stream is long enough for retention to evict.
+  const std::vector<double> widths{1.0, 2.5, 1.0, 0.5, 2.5};
+  common::Xoshiro256 rng(23);
+  std::vector<stream::Tuple> r_tuples, s_tuples, all;
+  double ts = 0.0;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    // Some exact timestamp ties, so window edges land on stored values.
+    if (!rng.next_bool(0.2)) ts += 0.25 * static_cast<double>(rng.next_in(1, 3));
+    auto t = make_tuple(i, rng.next_in(1, 12), ts,
+                        rng.next_bool(0.5) ? stream::StreamSide::kR
+                                           : stream::StreamSide::kS);
+    (t.side == stream::StreamSide::kR ? r_tuples : s_tuples).push_back(t);
+    all.push_back(t);
+  }
+  ExactJoinOracle shared(widths);
+  std::vector<ExactJoinOracle> single;
+  for (const double w : widths) single.emplace_back(w);
+  for (const auto& t : all) {
+    shared.observe(t);
+    for (auto& oracle : single) oracle.observe(t);
+  }
+  for (std::size_t q = 0; q < widths.size(); ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(shared.total_pairs(q), single[q].total_pairs());
+    EXPECT_EQ(shared.total_pairs(q),
+              stream::reference_join(r_tuples, s_tuples, widths[q]).size());
+  }
+  EXPECT_GT(shared.total_pairs(1), shared.total_pairs(0));
+  EXPECT_GT(shared.total_pairs(0), shared.total_pairs(3));
+}
+
 }  // namespace
 }  // namespace dsjoin::core

@@ -197,5 +197,36 @@ TEST(ParallelDeterminism, OracleOffStillDeterministic) {
   expect_identical(run(config, 0), run(config, 6));
 }
 
+TEST(ParallelDeterminism, MultiQuerySharedStoresAcrossWorkerCounts) {
+  // Four queries on one substrate (the sim-mq mix): policy route scratch,
+  // the shared received stores and the widest-probe match list are used
+  // from concurrent query shards (worker_threads also sizes each node's
+  // query pool). Every worker count must reproduce the serial run, per
+  // query.
+  auto config = base_config(PolicyKind::kSample, 42);
+  auto queries =
+      parse_queries("SMPL:0.5:10;SKCH:0.5:10;BLOOM:0.5:4;RR:0.5:2", config);
+  ASSERT_TRUE(queries.is_ok());
+  config.queries = queries.value();
+  const auto serial = run(config, 0);
+  ASSERT_EQ(serial.result.per_query.size(), 4u);
+  for (std::uint32_t workers : {1u, 2u, 8u}) {
+    SCOPED_TRACE(workers);
+    const auto parallel = run(config, workers);
+    expect_identical(serial, parallel);
+    ASSERT_EQ(parallel.result.per_query.size(), 4u);
+    for (std::size_t q = 0; q < 4; ++q) {
+      EXPECT_EQ(serial.result.per_query[q].pairs,
+                parallel.result.per_query[q].pairs);
+      EXPECT_EQ(serial.result.per_query[q].exact_pairs,
+                parallel.result.per_query[q].exact_pairs);
+      EXPECT_EQ(serial.result.per_query[q].received_tuples,
+                parallel.result.per_query[q].received_tuples);
+      EXPECT_EQ(serial.result.per_query[q].forwarded_tuples,
+                parallel.result.per_query[q].forwarded_tuples);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dsjoin::core

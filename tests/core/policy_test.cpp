@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+
+#include "dsjoin/common/rng.hpp"
 
 namespace dsjoin::core {
 namespace {
@@ -15,6 +19,13 @@ SystemConfig config_for(PolicyKind kind, std::uint32_t nodes = 6) {
   config.nodes = nodes;
   config.seed = 99;
   return config;
+}
+
+std::vector<double> allocate(const std::vector<double>& scores, double budget,
+                             double floor) {
+  std::vector<double> probs(scores.size());
+  allocate_flow_probabilities(scores, budget, floor, probs);
+  return probs;
 }
 
 stream::Tuple tuple_with(std::int64_t key, stream::StreamSide side,
@@ -44,20 +55,20 @@ TEST(ThrottleToBudget, EndpointsAndMonotonicity) {
 
 TEST(AllocateFlowProbabilities, ZeroScoresGetFloorOnly) {
   std::vector<double> scores(5, 0.0);
-  const auto probs = allocate_flow_probabilities(scores, 3.0, 0.1);
+  const auto probs = allocate(scores, 3.0, 0.1);
   for (double p : probs) EXPECT_DOUBLE_EQ(p, 0.1);
 }
 
 TEST(AllocateFlowProbabilities, SpendsBudgetProportionally) {
   std::vector<double> scores{1.0, 3.0};
-  const auto probs = allocate_flow_probabilities(scores, 0.8, 0.0);
+  const auto probs = allocate(scores, 0.8, 0.0);
   EXPECT_NEAR(probs[0] + probs[1], 0.8, 1e-9);
   EXPECT_NEAR(probs[1] / probs[0], 3.0, 1e-9);
 }
 
 TEST(AllocateFlowProbabilities, SaturatesAtOne) {
   std::vector<double> scores{100.0, 1.0, 1.0};
-  const auto probs = allocate_flow_probabilities(scores, 2.0, 0.0);
+  const auto probs = allocate(scores, 2.0, 0.0);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);
   EXPECT_NEAR(probs[0] + probs[1] + probs[2], 2.0, 1e-9);
   EXPECT_NEAR(probs[1], probs[2], 1e-12);
@@ -65,13 +76,13 @@ TEST(AllocateFlowProbabilities, SaturatesAtOne) {
 
 TEST(AllocateFlowProbabilities, FullBudgetBroadcasts) {
   std::vector<double> scores{5.0, 0.1, 2.0, 0.4};
-  const auto probs = allocate_flow_probabilities(scores, 4.0, 0.0);
+  const auto probs = allocate(scores, 4.0, 0.0);
   for (double p : probs) EXPECT_NEAR(p, 1.0, 1e-9);
 }
 
 TEST(AllocateFlowProbabilities, FloorIsRespected) {
   std::vector<double> scores{10.0, 0.0, 0.0};
-  const auto probs = allocate_flow_probabilities(scores, 1.5, 0.2);
+  const auto probs = allocate(scores, 1.5, 0.2);
   EXPECT_GE(probs[1], 0.2 - 1e-12);
   EXPECT_GE(probs[2], 0.2 - 1e-12);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);
@@ -81,10 +92,100 @@ TEST(AllocateFlowProbabilities, FloorIsRespected) {
 }
 
 TEST(AllocateFlowProbabilities, EmptyAndClamps) {
-  EXPECT_TRUE(allocate_flow_probabilities({}, 3.0, 0.1).empty());
+  EXPECT_TRUE(allocate({}, 3.0, 0.1).empty());
   std::vector<double> scores{1.0};
-  const auto probs = allocate_flow_probabilities(scores, 100.0, 0.0);
+  const auto probs = allocate(scores, 100.0, 0.0);
   EXPECT_DOUBLE_EQ(probs[0], 1.0);  // budget clamped to n
+}
+
+// The allocator as it was when saturation lived in a std::vector<bool>,
+// kept verbatim as the bit-identity reference for the scratch form.
+std::vector<double> allocate_reference(std::span<const double> scores,
+                                       double budget, double floor) {
+  const std::size_t n = scores.size();
+  std::vector<double> probs(n, 0.0);
+  if (n == 0) return probs;
+  floor = std::clamp(floor, 0.0, 1.0);
+  budget = std::clamp(budget, 0.0, static_cast<double>(n));
+  double score_sum = 0.0;
+  for (double s : scores) score_sum += std::max(s, 0.0);
+  if (score_sum <= 0.0) {
+    std::fill(probs.begin(), probs.end(), floor);
+    return probs;
+  }
+  std::vector<bool> saturated(n, false);
+  double fixed = 0.0;
+  std::size_t sat_count = 0;
+  for (std::size_t round = 0; round < n; ++round) {
+    const double active = static_cast<double>(n - sat_count);
+    double remaining = budget - fixed - floor * active;
+    if (remaining < 0.0) remaining = 0.0;
+    double active_score = 0.0;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (!saturated[j]) active_score += std::max(scores[j], 0.0);
+    }
+    if (active_score <= 0.0) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (!saturated[j]) probs[j] = floor;
+      }
+      break;
+    }
+    const double w = remaining / active_score;
+    bool newly_saturated = false;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (saturated[j]) continue;
+      const double p = floor + w * std::max(scores[j], 0.0);
+      if (p >= 1.0) {
+        probs[j] = 1.0;
+        saturated[j] = true;
+        fixed += 1.0;
+        ++sat_count;
+        newly_saturated = true;
+      } else {
+        probs[j] = p;
+      }
+    }
+    if (!newly_saturated) break;
+  }
+  return probs;
+}
+
+void expect_bitwise_equal(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
+}
+
+TEST(AllocateFlowProbabilities, FloorOfOneSaturatesEveryPeer) {
+  for (const auto& scores : std::vector<std::vector<double>>{
+           {0.0, 3.0, 1.0}, {0.0, 0.0}, {5.0}, {1.0, 1.0, 1.0, 1.0}}) {
+    const auto probs = allocate(scores, 1.5, 1.0);
+    for (const double p : probs) EXPECT_EQ(p, 1.0);
+    expect_bitwise_equal(probs, allocate_reference(scores, 1.5, 1.0));
+  }
+}
+
+TEST(AllocateFlowProbabilities, ExactOnesMatchTheSaturationFlagAllocator) {
+  // Scores and budgets on small dyadic grids make p land on exactly 1.0
+  // (and on values just below it) in every round; the scratch form, which
+  // reads "saturated" off p == 1.0, must match the flag form bit for bit.
+  EXPECT_EQ(allocate({1.0, 1.0, 1.0, 1.0}, 4.0, 0.0),
+            (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
+  const auto two = allocate({2.0, 1.0, 1.0}, 2.0, 0.0);
+  EXPECT_EQ(two[0], 1.0);
+  EXPECT_EQ(two[1], 0.5);
+  common::Xoshiro256 rng(5);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t n = 1 + rng.next_below(9);
+    std::vector<double> scores(n);
+    for (auto& v : scores) v = 0.5 * static_cast<double>(rng.next_below(6));
+    if (rng.next_bool(0.1)) scores[rng.next_below(n)] = -1.0;
+    const double budget = 0.25 * static_cast<double>(rng.next_below(4 * n + 4));
+    const double floors[] = {0.0, 0.125, 0.25, 0.5, 1.0, 1.5};
+    const double floor = floors[rng.next_below(6)];
+    expect_bitwise_equal(allocate(scores, budget, floor),
+                         allocate_reference(scores, budget, floor));
+  }
 }
 
 TEST(PolicyFactory, CreatesEveryKind) {

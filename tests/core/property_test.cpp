@@ -27,7 +27,8 @@ TEST_P(AllocatorPropertyTest, InvariantsHoldForRandomInputs) {
     }
     const double budget = rng.next_double_in(0.0, static_cast<double>(n) + 2.0);
     const double floor = rng.next_double_in(0.0, 0.3);
-    const auto probs = allocate_flow_probabilities(scores, budget, floor);
+    std::vector<double> probs(n);
+    allocate_flow_probabilities(scores, budget, floor, probs);
     ASSERT_EQ(probs.size(), n);
     double total = 0.0;
     for (std::size_t j = 0; j < n; ++j) {

@@ -168,5 +168,34 @@ TEST(DspSystem, NodeAccessorsExposeCounters) {
   EXPECT_EQ(system.oracle().total_pairs(), result.exact_pairs);
 }
 
+TEST(DspSystem, MultiWidthQueriesShareStoresWithoutFalsePairs) {
+  // Queries of different half-widths share the received stores and the
+  // widest probe; each must keep only its own window. BASE is exact at its
+  // width, every query reports no false pair, and the one oracle counts
+  // each query's exact join of the arrival schedule (no backpressure, so
+  // the simulator ingests exactly that schedule).
+  auto config = small_config(PolicyKind::kBase);
+  config.max_backlog_s = 0.0;
+  auto queries = parse_queries("BASE:1:2;SMPL:0.5:10;RR:0.5:4;BASE:1:10", config);
+  ASSERT_TRUE(queries.is_ok());
+  config.queries = queries.value();
+  DspSystem system(config);
+  auto result = system.run();
+  ASSERT_EQ(result.per_query.size(), 4u);
+  std::vector<std::uint64_t> oracle_counts;
+  for (std::size_t q = 0; q < 4; ++q) {
+    oracle_counts.push_back(system.oracle().total_pairs(q));
+  }
+  verify_against_schedule(config, result.pairs, &result);
+  for (std::size_t q = 0; q < 4; ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(result.per_query[q].false_pairs, 0u);
+    EXPECT_EQ(result.per_query[q].exact_pairs, oracle_counts[q]);
+  }
+  EXPECT_EQ(result.per_query[0].reported_pairs, oracle_counts[0]);
+  EXPECT_EQ(result.per_query[3].reported_pairs, oracle_counts[3]);
+  EXPECT_LT(oracle_counts[0], oracle_counts[3]);
+}
+
 }  // namespace
 }  // namespace dsjoin::core

@@ -311,3 +311,127 @@ TEST(EventQueue, RunAndPendingCallbacksReleaseWhatTheyOwn) {
 
 }  // namespace
 }  // namespace dsjoin::net
+
+namespace dsjoin::net {
+namespace {
+
+TEST(EventQueueReserved, ReservedEventOrdersAtItsReservationPoint) {
+  // A sequence reserved before two ordinary ties at the same time must pop
+  // first, although it is entered last.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t seq = q.reserve_sequence();
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.schedule_at(1.0, [&] { order.push_back(2); });
+  q.schedule_reserved_at(1.0, seq, [&] { order.push_back(0); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EventQueueReserved, ReservationsAdvanceTheSharedCounter) {
+  // schedule_at after a reservation draws a larger sequence: the reserved
+  // tie pops first even when an ordinary event is entered before it.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t a = q.reserve_sequence();
+  const std::uint64_t b = q.reserve_sequence();
+  EXPECT_LT(a, b);
+  q.schedule_at(2.0, [&] { order.push_back(3); });
+  q.schedule_reserved_at(2.0, b, [&] { order.push_back(2); });
+  q.schedule_reserved_at(2.0, a, [&] { order.push_back(1); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueReserved, TimeStillDominatesSequence) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t early = q.reserve_sequence();
+  q.schedule_at(1.0, [&] { order.push_back(1); });
+  q.schedule_reserved_at(3.0, early, [&] { order.push_back(3); });
+  q.schedule_at(2.0, [&] { order.push_back(2); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.now(), 3.0);
+}
+
+TEST(EventQueueReserved, EnteredFromARunningCallback) {
+  // The per-link delivery pattern: the head's callback enters the link's
+  // next frame under the sequence it reserved earlier, before any larger
+  // key can pop; a tie at the next frame's time scheduled in between (with
+  // a larger sequence) must run after it.
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t head = q.reserve_sequence();
+  const std::uint64_t next = q.reserve_sequence();
+  q.schedule_reserved_at(1.0, head, [&] {
+    order.push_back(1);
+    q.schedule_reserved_at(2.0, next, [&] { order.push_back(2); });
+  });
+  q.schedule_at(2.0, [&] { order.push_back(3); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueReserved, RunEpochTakesReservedTies) {
+  EventQueue q;
+  std::vector<int> order;
+  const std::uint64_t seq = q.reserve_sequence();
+  q.schedule_at(4.0, [&] { order.push_back(2); });
+  q.schedule_reserved_at(4.0, seq, [&] { order.push_back(1); });
+  q.schedule_at(5.0, [&] { order.push_back(3); });
+  EXPECT_EQ(q.run_epoch(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueueReserved, RandomReservationsMatchImmediateScheduling) {
+  // Model check: a producer that reserves at decision time and enters the
+  // event later (at most before the next pop) yields exactly the order of
+  // scheduling immediately.
+  common::Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    EventQueue immediate;
+    EventQueue deferred;
+    std::vector<int> order_a;
+    std::vector<int> order_b;
+    struct Held {
+      double when;
+      std::uint64_t seq;
+      int id;
+    };
+    std::vector<Held> held;
+    int id = 0;
+    for (int round = 0; round < 40; ++round) {
+      const int n = static_cast<int>(rng.next_below(5));
+      for (int k = 0; k < n; ++k) {
+        const double when =
+            immediate.now() + static_cast<double>(rng.next_below(4));
+        const int tag = id++;
+        immediate.schedule_at(when, [&order_a, tag] { order_a.push_back(tag); });
+        if (rng.next_bool(0.5)) {
+          held.push_back(Held{when, deferred.reserve_sequence(), tag});
+        } else {
+          deferred.schedule_at(when,
+                               [&order_b, tag] { order_b.push_back(tag); });
+        }
+      }
+      // Enter the held events in reverse, then pop one event from each.
+      while (!held.empty()) {
+        const Held h = held.back();
+        held.pop_back();
+        deferred.schedule_reserved_at(
+            h.when, h.seq, [&order_b, tag = h.id] { order_b.push_back(tag); });
+      }
+      immediate.run_one();
+      deferred.run_one();
+      ASSERT_EQ(immediate.now(), deferred.now());
+    }
+    immediate.run_all();
+    deferred.run_all();
+    EXPECT_EQ(order_a, order_b);
+  }
+}
+
+}  // namespace
+}  // namespace dsjoin::net

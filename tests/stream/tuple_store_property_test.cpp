@@ -204,3 +204,143 @@ TEST(TupleStoreProperty, BatchProbesMatchPointProbes) {
 
 }  // namespace
 }  // namespace dsjoin::stream
+
+namespace dsjoin::stream {
+namespace {
+
+// One shared store with a query-mask column against one plain store per
+// query: random masks, out-of-order timestamps, tuples inserted after an
+// eviction below its horizon, and horizons that move in any order. Query q
+// must see, probe for probe, exactly its own store's matches in the same
+// order; the shared store must hold exactly the tuples some query still
+// sees.
+TEST(TupleStoreMask, SharedStoreMatchesPerQueryStores) {
+  for (const simd::Level level : supported_levels()) {
+    ForcedLevel forced(level);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      common::Xoshiro256 rng(seed * 131);
+      const std::size_t queries = 1 + seed % 5;
+      std::vector<double> half_width(queries);
+      std::vector<double> retention(queries);
+      for (std::size_t q = 0; q < queries; ++q) {
+        half_width[q] = 0.25 * static_cast<double>(1 + rng.next() % 8);
+        retention[q] = 2.0 * half_width[q] + 0.25 * static_cast<double>(rng.next() % 4);
+      }
+      const double widest = *std::max_element(half_width.begin(), half_width.end());
+      const std::uint64_t all_bits = (std::uint64_t{1} << queries) - 1;
+
+      TupleStore shared;
+      std::vector<TupleStore> own(queries);
+      struct Shadow {
+        double ts;
+        std::uint64_t bits;
+      };
+      std::vector<std::pair<std::uint64_t, Shadow>> shadow;  // id -> live bits
+      const auto tuples = random_tuples(3000, StreamSide::kR, 0, rng);
+      std::vector<double> horizons(queries);
+      double clock = 0.0;
+      for (std::size_t i = 0; i < tuples.size(); ++i) {
+        Tuple t = tuples[i];
+        clock = std::max(clock, t.timestamp);
+        // Now and then a straggler far below every horizon applied so far.
+        if (rng.next() % 50 == 0) t.timestamp = clock - 2.0 * widest - 3.0;
+        std::uint64_t mask = 0;
+        while (mask == 0) mask = rng.next() & all_bits;
+        // Tuples every query routed are stored unmasked, as the node does.
+        shared.insert(t, mask == all_bits ? TupleStore::kAllQueries : mask);
+        for (std::size_t q = 0; q < queries; ++q) {
+          if (mask >> q & 1) own[q].insert(t);
+        }
+        shadow.push_back({t.id, Shadow{t.timestamp, mask}});
+
+        if (rng.next() % 16 == 0) {
+          // Horizons jitter around each query's retention, so successive
+          // evictions are not monotone per query and cross each other.
+          for (std::size_t q = 0; q < queries; ++q) {
+            horizons[q] = clock - retention[q] -
+                          0.25 * static_cast<double>(rng.next() % 12);
+            own[q].evict_before(horizons[q]);
+          }
+          shared.evict_masked(horizons);
+          std::erase_if(shadow, [&](auto& entry) {
+            for (std::size_t q = 0; q < queries; ++q) {
+              if (entry.second.ts < horizons[q]) {
+                entry.second.bits &= ~(std::uint64_t{1} << q);
+              }
+            }
+            return entry.second.bits == 0;
+          });
+          ASSERT_EQ(shared.size(), shadow.size()) << "seed " << seed;
+        }
+
+        const std::int64_t key = static_cast<std::int64_t>(rng.next() % 24);
+        const double center = clock - 0.25 * static_cast<double>(rng.next() % 16);
+        std::vector<StoredTuple> wide;
+        std::vector<std::uint64_t> masks;
+        shared.collect_matches(key, center, widest, wide, masks);
+        ASSERT_EQ(wide.size(), masks.size());
+        // Unmasked probes see the same live tuples (evicted ones that
+        // still sit in a chunk are skipped).
+        ASSERT_EQ(shared.count_matches(key, center, widest), wide.size());
+        std::vector<StoredTuple> plain;
+        shared.collect_matches(key, center, widest, plain);
+        ASSERT_EQ(plain.size(), wide.size());
+        for (std::size_t q = 0; q < queries; ++q) {
+          std::vector<StoredTuple> expect;
+          own[q].collect_matches(key, center, half_width[q], expect);
+          std::vector<StoredTuple> got;
+          const double lo = center - half_width[q];
+          const double hi = center + half_width[q];
+          for (std::size_t k = 0; k < wide.size(); ++k) {
+            if ((masks[k] >> q & 1) && wide[k].timestamp >= lo &&
+                wide[k].timestamp <= hi) {
+              got.push_back(wide[k]);
+            }
+          }
+          ASSERT_EQ(got.size(), expect.size())
+              << "seed " << seed << " query " << q << " step " << i;
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k].id, expect[k].id);
+            ASSERT_EQ(got[k].timestamp, expect[k].timestamp);
+            ASSERT_EQ(got[k].origin, expect[k].origin);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TupleStoreMask, EqualHorizonsKeepUnmaskedChunksColumnFree) {
+  // With one query (or equal horizons) unmasked tuples expire whole: the
+  // masked eviction then behaves exactly like evict_before.
+  common::Xoshiro256 rng(77);
+  const auto tuples = random_tuples(2000, StreamSide::kS, 0, rng);
+  TupleStore masked;
+  TupleStore plain;
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    masked.insert(tuples[i]);
+    plain.insert(tuples[i]);
+    if (i % 97 == 0) {
+      const double h = tuples[i].timestamp - 3.0;
+      const double horizons[2] = {h, h};
+      masked.evict_masked(horizons);
+      plain.evict_before(h);
+      ASSERT_EQ(masked.size(), plain.size());
+    }
+  }
+  for (std::int64_t key = 0; key < 24; ++key) {
+    std::vector<StoredTuple> a;
+    std::vector<StoredTuple> b;
+    std::vector<std::uint64_t> masks;
+    masked.collect_matches(key, 40.0, 60.0, a, masks);
+    plain.collect_matches(key, 40.0, 60.0, b);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].id, b[k].id);
+      EXPECT_EQ(masks[k], TupleStore::kAllQueries);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace dsjoin::stream

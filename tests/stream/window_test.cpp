@@ -117,26 +117,6 @@ TEST(CountWindow, KeyCountsTrackMultiplicity) {
   EXPECT_EQ(window.count_matches(8), 0u);
 }
 
-TEST(LandmarkWindow, IgnoresPreLandmarkTuples) {
-  LandmarkWindow window(100.0);
-  EXPECT_FALSE(window.insert(make_tuple(1, 5, 99.0)));
-  EXPECT_TRUE(window.insert(make_tuple(2, 5, 100.0)));
-  EXPECT_TRUE(window.insert(make_tuple(3, 5, 150.0)));
-  EXPECT_EQ(window.size(), 2u);
-  EXPECT_EQ(window.count_matches(5), 2u);
-}
-
-TEST(LandmarkWindow, ResetDiscardsOlder) {
-  LandmarkWindow window(0.0);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    window.insert(make_tuple(i, 1, static_cast<double>(i)));
-  }
-  window.reset_landmark(5.0);
-  EXPECT_EQ(window.size(), 5u);
-  EXPECT_EQ(window.count_matches(1), 5u);
-  EXPECT_DOUBLE_EQ(window.landmark(), 5.0);
-}
-
 TEST(ReferenceJoin, MatchesBruteForceSemantics) {
   std::vector<Tuple> r{make_tuple(1, 5, 10.0, StreamSide::kR),
                        make_tuple(2, 5, 20.0, StreamSide::kR),
