@@ -364,7 +364,8 @@ common::Result<SystemConfig> deserialize_config(common::BufferReader& in) {
   {
     auto count = in.read_u32();
     if (!count) return count.status();
-    if (count.value() > kMaxQueries) {
+    // A query is at least 24 wire bytes (id, policy length, two f64s).
+    if (count.value() > kMaxQueries || count.value() > in.remaining() / 24) {
       return common::Status(common::ErrorCode::kDataLoss,
                             "query count out of range");
     }

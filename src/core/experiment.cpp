@@ -33,31 +33,25 @@ common::Result<Backend> backend_from_string(const std::string& name) {
 
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result, bool merge_traffic) {
-  // Every report's pair lists are sorted snapshots (union_sorted_pairs
-  // re-sorts a copy of any that arrived out of order), so the global dedup
-  // is a merge, not a re-hash.
-  std::vector<std::span<const stream::ResultPair>> lists;
-  lists.reserve(reports.size());
+  std::size_t queries = 0;
   for (const auto& report : reports) {
     result->total_arrivals += report.local_tuples;
     result->decode_failures += report.decode_failures;
     result->late_summaries += report.late_summaries;
-    result->predicted_missed_mass += report.predicted_missed_mass;
-    result->predicted_total_mass += report.predicted_total_mass;
     if (merge_traffic) result->traffic.merge(report.traffic);
-    lists.emplace_back(report.pairs);
-  }
-  result->pairs = union_sorted_pairs(lists);
-
-  // Per-query fold: every report lists its queries in the same canonical
-  // order, so entry i across reports is the same query. Each query's pair
-  // set deduplicates independently (queries are distinct joins).
-  std::size_t queries = 0;
-  for (const auto& report : reports) {
     queries = std::max(queries, report.queries.size());
   }
+
+  // Per-query fold: every report lists its queries in the same canonical
+  // order, so entry q across reports is the same query. Each query's pair
+  // set deduplicates independently (queries are distinct joins); the
+  // report lists are sorted snapshots (union_sorted_pairs re-sorts a copy
+  // of any that arrived out of order), so the dedup is a merge.
   if (result->per_query.size() < queries) result->per_query.resize(queries);
-  std::uint64_t reported = 0;
+  std::vector<std::span<const stream::ResultPair>> lists;
+  std::vector<std::span<const stream::ResultPair>> query_pairs;
+  lists.reserve(reports.size());
+  query_pairs.reserve(queries);
   for (std::size_t q = 0; q < queries; ++q) {
     QueryResult& out = result->per_query[q];
     lists.clear();
@@ -75,34 +69,31 @@ void aggregate_node_reports(std::span<const NodeReport> reports,
     }
     out.pairs = union_sorted_pairs(lists);
     out.reported_pairs = out.pairs.size();
-    reported += out.reported_pairs;
+    query_pairs.emplace_back(out.pairs);
+    // Run aggregates: sums over queries (each its own join), in the same
+    // order DspSystem::run() adds them.
+    result->reported_pairs += out.reported_pairs;
+    result->predicted_missed_mass += out.predicted_missed_mass;
+    result->predicted_total_mass += out.predicted_total_mass;
   }
-  // Aggregate count: sum over queries (each its own join). With no
-  // per-query sections (a pre-v6 report), fall back to the union.
-  result->reported_pairs = queries == 0 ? result->pairs.size() : reported;
+  // The cross-query union (for one query, a copy of its set).
+  result->pairs = union_sorted_pairs(query_pairs);
 }
 
 void verify_against_schedule(const SystemConfig& config,
-                             std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result) {
+  // Replay the one schedule against each query's own window. Caching by
+  // half-width keeps N identical-width queries at one oracle pass.
   const auto schedule = ArrivalSchedule::build(config);
-  if (result->per_query.empty()) {
-    result->exact_pairs = exact_pairs(schedule, config.join_half_width_s);
-    result->false_pairs =
-        count_false_pairs(schedule, config.join_half_width_s, pairs);
-    return;
-  }
-  // Per-query verification: replay the one schedule against each query's
-  // own window. Caching by half-width keeps N identical-width queries at
-  // one oracle pass.
   const auto specs = effective_queries(config);
+  result->per_query.resize(specs.size());
   std::map<double, std::uint64_t> exact_by_width;
   result->exact_pairs = 0;
   result->false_pairs = 0;
-  for (std::size_t q = 0; q < result->per_query.size(); ++q) {
+  for (std::size_t q = 0; q < specs.size(); ++q) {
     QueryResult& query = result->per_query[q];
-    const double width = q < specs.size() ? specs[q].join_half_width_s
-                                          : config.join_half_width_s;
+    const double width = specs[q].join_half_width_s;
+    query.query_id = specs[q].id;
     auto [it, fresh] = exact_by_width.try_emplace(width, 0);
     if (fresh) it->second = exact_pairs(schedule, width);
     query.exact_pairs = it->second;

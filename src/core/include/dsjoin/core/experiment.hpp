@@ -53,6 +53,8 @@ struct QueryNodeReport {
   std::uint64_t forwarded_tuples = 0;  ///< outbound tuple frames attributed
   std::uint64_t result_frames = 0;     ///< outbound result frames
   std::uint64_t summary_frames = 0;    ///< outbound standalone summaries
+  /// Predicted-epsilon bound terms of the query's routing policy ({0, 0}
+  /// for policies with no error model).
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
   std::vector<stream::ResultPair> pairs;  ///< this node's, this query's
@@ -60,25 +62,18 @@ struct QueryNodeReport {
 
 /// One node's final accounting — the per-node half of metrics assembly.
 /// NodeHost::report() produces it identically on every backplane; the
-/// multiprocess runtime ships it over the wire as METRICS_REPORT.
+/// multiprocess runtime ships it over the wire as METRICS_REPORT. Per-query
+/// counters, bound masses and pairs live only in `queries`.
 struct NodeReport {
   net::NodeId node_id = 0;
   std::uint64_t local_tuples = 0;     ///< arrivals ingested from own source
-  std::uint64_t received_tuples = 0;  ///< forwarded tuples from peers
   std::uint64_t decode_failures = 0;  ///< should be 0
   /// Summaries applied after their virtual-time visibility boundary had
   /// already passed (should be 0; non-zero voids exact parity).
   std::uint64_t late_summaries = 0;
-  /// Predicted-epsilon bound terms accumulated by the node's routing
-  /// policy ({0, 0} for policies with no error model). Both travel in
-  /// METRICS_REPORT so the multiprocess coordinator aggregates the same
-  /// numbers the in-process backends do.
-  double predicted_missed_mass = 0.0;
-  double predicted_total_mass = 0.0;
   net::TrafficCounters traffic;       ///< frames this node sent
-  std::vector<stream::ResultPair> pairs;  ///< locally discovered, deduplicated
-  /// Per-query breakdown in canonical (effective_queries) order. One entry
-  /// even in single-query mode, where it restates the aggregates above.
+  /// Per-query breakdown in canonical (effective_queries) order; one entry
+  /// in single-query mode.
   std::vector<QueryNodeReport> queries;
 };
 
@@ -133,7 +128,7 @@ struct ExperimentResult {
   double makespan_s = 0.0;
   bool fallback_engaged = false;      ///< any node in round-robin fallback
 
-  /// Summed predicted-epsilon bound terms (see NodeReport).
+  /// Summed predicted-epsilon bound terms (see QueryNodeReport).
   double predicted_missed_mass = 0.0;
   double predicted_total_mass = 0.0;
 
@@ -158,19 +153,23 @@ struct ExperimentResult {
 };
 
 /// Folds per-node reports into `result`: sums arrivals and decode
-/// failures, merges traffic, and deduplicates the pair sets globally into
-/// result->pairs (sorted — ready for oracle verification). Callers with a
-/// shared transport (one global counter, not per-node) pass
-/// `merge_traffic = false` and install the union themselves.
+/// failures, merges traffic, and deduplicates each query's pairs globally
+/// into per_query[q].pairs (sorted — ready for oracle verification). The
+/// run aggregates are derived from those query slices: masses and
+/// reported_pairs are sums over queries, result->pairs is the union of
+/// every query's pairs. Callers with a shared transport (one global
+/// counter, not per-node) pass `merge_traffic = false` and install the
+/// union themselves.
 void aggregate_node_reports(std::span<const NodeReport> reports,
                             ExperimentResult* result,
                             bool merge_traffic = true);
 
-/// Recomputes the exact join from the deterministic arrival schedule and
-/// fills exact_pairs / false_pairs — how the socket backends (which have
-/// no in-run oracle) account epsilon honestly.
+/// Recomputes each query's exact join from the deterministic arrival
+/// schedule and fills exact_pairs / false_pairs — how the socket backends
+/// (which have no in-run oracle) account epsilon honestly. per_query is
+/// sized to effective_queries(config), so a run with no reports still
+/// gets one entry (reported_pairs = 0) per registered query.
 void verify_against_schedule(const SystemConfig& config,
-                             std::span<const stream::ResultPair> pairs,
                              ExperimentResult* result);
 
 /// Computes every derived metric from the raw counts. All backends call

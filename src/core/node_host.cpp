@@ -142,7 +142,6 @@ NodeReport NodeHost::report(net::TrafficCounters traffic) const {
   NodeReport report;
   report.node_id = id_;
   report.local_tuples = node_->local_tuples();
-  report.received_tuples = node_->received_tuples();
   report.decode_failures = node_->decode_failures();
   report.late_summaries = node_->late_summaries();
   report.traffic = traffic;
@@ -159,19 +158,7 @@ NodeReport NodeHost::report(net::TrafficCounters traffic) const {
     slice.predicted_missed_mass = bound.missed_mass;
     slice.predicted_total_mass = bound.total_mass;
     slice.pairs = metrics_[q]->pairs();
-    // Aggregate = sum of the exclusive per-query attributions.
-    report.predicted_missed_mass += bound.missed_mass;
-    report.predicted_total_mass += bound.total_mass;
   }
-  // The node-level pair set stays the cross-query union (queries rarely
-  // overlap, but identical registered queries do — single-query reports are
-  // byte-identical to the historical shape).
-  std::vector<std::span<const stream::ResultPair>> query_pairs;
-  query_pairs.reserve(report.queries.size());
-  for (const QueryNodeReport& slice : report.queries) {
-    query_pairs.emplace_back(slice.pairs);
-  }
-  report.pairs = union_sorted_pairs(query_pairs);
   return report;
 }
 

@@ -2,6 +2,15 @@
 
 namespace dsjoin::runtime {
 
+// Reads one wire field into `target`; on failure the enclosing decoder
+// returns the reader's status.
+#define DSJOIN_READ(target, reader) \
+  do {                              \
+    auto r = in.reader();           \
+    if (!r) return r.status();      \
+    target = std::move(r).value();  \
+  } while (0)
+
 namespace {
 
 void serialize_traffic(const net::TrafficCounters& traffic,
@@ -16,25 +25,11 @@ void serialize_traffic(const net::TrafficCounters& traffic,
 common::Result<net::TrafficCounters> deserialize_traffic(
     common::BufferReader& in) {
   net::TrafficCounters traffic;
-  for (auto& f : traffic.frames_by_kind) {
-    auto r = in.read_u64();
-    if (!r) return r.status();
-    f = r.value();
-  }
-  for (auto& b : traffic.bytes_by_kind) {
-    auto r = in.read_u64();
-    if (!r) return r.status();
-    b = r.value();
-  }
-  auto piggyback = in.read_u64();
-  if (!piggyback) return piggyback.status();
-  traffic.piggyback_bytes = piggyback.value();
-  auto records = in.read_u64();
-  if (!records) return records.status();
-  traffic.wire_records = records.value();
-  auto saved = in.read_u64();
-  if (!saved) return saved.status();
-  traffic.header_bytes_saved = saved.value();
+  for (auto& f : traffic.frames_by_kind) DSJOIN_READ(f, read_u64);
+  for (auto& b : traffic.bytes_by_kind) DSJOIN_READ(b, read_u64);
+  DSJOIN_READ(traffic.piggyback_bytes, read_u64);
+  DSJOIN_READ(traffic.wire_records, read_u64);
+  DSJOIN_READ(traffic.header_bytes_saved, read_u64);
   return traffic;
 }
 
@@ -123,7 +118,8 @@ common::Result<ConfigMsg> ConfigMsg::decode(
   msg.config = std::move(config).value();
   auto count = in.read_u32();
   if (!count) return count.status();
-  if (count.value() > 1024) {
+  // An endpoint is at least 6 wire bytes (u32 host length, u16 port).
+  if (count.value() > 1024 || count.value() > in.remaining() / 6) {
     return common::Status(common::ErrorCode::kDataLoss,
                           "implausible peer count");
   }
@@ -173,50 +169,18 @@ common::Result<HeartbeatMsg> HeartbeatMsg::decode(
   return msg;
 }
 
-MetricsReportMsg MetricsReportMsg::from_node_report(core::NodeReport report) {
-  MetricsReportMsg msg;
-  msg.node_id = report.node_id;
-  msg.local_tuples = report.local_tuples;
-  msg.received_tuples = report.received_tuples;
-  msg.decode_failures = report.decode_failures;
-  msg.late_summaries = report.late_summaries;
-  msg.predicted_missed_mass = report.predicted_missed_mass;
-  msg.predicted_total_mass = report.predicted_total_mass;
-  msg.traffic = report.traffic;
-  msg.queries = std::move(report.queries);
-  msg.pairs = std::move(report.pairs);
-  return msg;
-}
-
-core::NodeReport MetricsReportMsg::to_node_report() && {
-  core::NodeReport report;
-  report.node_id = node_id;
-  report.local_tuples = local_tuples;
-  report.received_tuples = received_tuples;
-  report.decode_failures = decode_failures;
-  report.late_summaries = late_summaries;
-  report.predicted_missed_mass = predicted_missed_mass;
-  report.predicted_total_mass = predicted_total_mass;
-  report.traffic = traffic;
-  report.queries = std::move(queries);
-  report.pairs = std::move(pairs);
-  return report;
-}
-
-std::vector<std::uint8_t> MetricsReportMsg::encode() const {
-  common::BufferWriter out(64 + pairs.size() * 16);
-  out.write_u32(node_id);
-  out.write_u64(local_tuples);
-  out.write_u64(received_tuples);
-  out.write_u64(decode_failures);
-  out.write_u64(late_summaries);
-  out.write_f64(predicted_missed_mass);
-  out.write_f64(predicted_total_mass);
-  serialize_traffic(traffic, out);
-  // Per-query sections (v6) precede the pair list so the trailing
-  // count-vs-remaining check on the pairs stays exact.
-  out.write_u32(static_cast<std::uint32_t>(queries.size()));
-  for (const auto& query : queries) {
+std::vector<std::uint8_t> encode_metrics_report(
+    const core::NodeReport& report) {
+  std::size_t pairs = 0;
+  for (const auto& query : report.queries) pairs += query.pairs.size();
+  common::BufferWriter out(128 + report.queries.size() * 64 + pairs * 16);
+  out.write_u32(report.node_id);
+  out.write_u64(report.local_tuples);
+  out.write_u64(report.decode_failures);
+  out.write_u64(report.late_summaries);
+  serialize_traffic(report.traffic, out);
+  out.write_u32(static_cast<std::uint32_t>(report.queries.size()));
+  for (const auto& query : report.queries) {
     out.write_u32(query.query_id);
     out.write_u64(query.received_tuples);
     out.write_u64(query.forwarded_tuples);
@@ -230,104 +194,57 @@ std::vector<std::uint8_t> MetricsReportMsg::encode() const {
       out.write_u64(pair.s_id);
     }
   }
-  out.write_u64(pairs.size());
-  for (const auto& pair : pairs) {
-    out.write_u64(pair.r_id);
-    out.write_u64(pair.s_id);
-  }
   return std::move(out).take();
 }
 
-common::Result<MetricsReportMsg> MetricsReportMsg::decode(
+common::Result<core::NodeReport> decode_metrics_report(
     std::span<const std::uint8_t> bytes) {
   common::BufferReader in(bytes);
-  MetricsReportMsg msg;
-  auto node_id = in.read_u32();
-  if (!node_id) return node_id.status();
-  msg.node_id = node_id.value();
-  auto local = in.read_u64();
-  if (!local) return local.status();
-  msg.local_tuples = local.value();
-  auto received = in.read_u64();
-  if (!received) return received.status();
-  msg.received_tuples = received.value();
-  auto failures = in.read_u64();
-  if (!failures) return failures.status();
-  msg.decode_failures = failures.value();
-  auto late = in.read_u64();
-  if (!late) return late.status();
-  msg.late_summaries = late.value();
-  auto missed = in.read_f64();
-  if (!missed) return missed.status();
-  msg.predicted_missed_mass = missed.value();
-  auto total = in.read_f64();
-  if (!total) return total.status();
-  msg.predicted_total_mass = total.value();
+  core::NodeReport report;
+  DSJOIN_READ(report.node_id, read_u32);
+  DSJOIN_READ(report.local_tuples, read_u64);
+  DSJOIN_READ(report.decode_failures, read_u64);
+  DSJOIN_READ(report.late_summaries, read_u64);
   auto traffic = deserialize_traffic(in);
   if (!traffic) return traffic.status();
-  msg.traffic = traffic.value();
-  auto query_count = in.read_u32();
-  if (!query_count) return query_count.status();
-  if (query_count.value() > 64) {
+  report.traffic = traffic.value();
+  std::uint32_t query_count = 0;
+  DSJOIN_READ(query_count, read_u32);
+  if (query_count == 0 || query_count > core::kMaxQueries) {
     return common::Status(common::ErrorCode::kDataLoss,
-                          "implausible query section count");
+                          "query section count out of range");
   }
-  msg.queries.reserve(query_count.value());
-  for (std::uint32_t q = 0; q < query_count.value(); ++q) {
-    core::QueryNodeReport slice;
-    auto query_id = in.read_u32();
-    if (!query_id) return query_id.status();
-    slice.query_id = query_id.value();
-    auto q_received = in.read_u64();
-    if (!q_received) return q_received.status();
-    slice.received_tuples = q_received.value();
-    auto q_forwarded = in.read_u64();
-    if (!q_forwarded) return q_forwarded.status();
-    slice.forwarded_tuples = q_forwarded.value();
-    auto q_results = in.read_u64();
-    if (!q_results) return q_results.status();
-    slice.result_frames = q_results.value();
-    auto q_summaries = in.read_u64();
-    if (!q_summaries) return q_summaries.status();
-    slice.summary_frames = q_summaries.value();
-    auto q_missed = in.read_f64();
-    if (!q_missed) return q_missed.status();
-    slice.predicted_missed_mass = q_missed.value();
-    auto q_total = in.read_f64();
-    if (!q_total) return q_total.status();
-    slice.predicted_total_mass = q_total.value();
-    auto pair_count = in.read_u64();
-    if (!pair_count) return pair_count.status();
-    if (pair_count.value() * 16 > in.remaining()) {
+  report.queries.reserve(query_count);
+  for (std::uint32_t q = 0; q < query_count; ++q) {
+    core::QueryNodeReport& slice = report.queries.emplace_back();
+    DSJOIN_READ(slice.query_id, read_u32);
+    DSJOIN_READ(slice.received_tuples, read_u64);
+    DSJOIN_READ(slice.forwarded_tuples, read_u64);
+    DSJOIN_READ(slice.result_frames, read_u64);
+    DSJOIN_READ(slice.summary_frames, read_u64);
+    DSJOIN_READ(slice.predicted_missed_mass, read_f64);
+    DSJOIN_READ(slice.predicted_total_mass, read_f64);
+    std::uint64_t pair_count = 0;
+    DSJOIN_READ(pair_count, read_u64);
+    // The last section's pairs end the payload exactly; earlier sections
+    // only have to fit in what remains.
+    const std::uint64_t fits = in.remaining() / 16;
+    const bool last = q + 1 == query_count;
+    if (last ? pair_count != fits || in.remaining() % 16 != 0
+             : pair_count > fits) {
       return common::Status(common::ErrorCode::kDataLoss,
-                            "query pair count exceeds payload size");
+                            "pair count mismatches payload size");
     }
-    slice.pairs.reserve(pair_count.value());
-    for (std::uint64_t i = 0; i < pair_count.value(); ++i) {
-      auto r_id = in.read_u64();
-      if (!r_id) return r_id.status();
-      auto s_id = in.read_u64();
-      if (!s_id) return s_id.status();
-      slice.pairs.push_back({r_id.value(), s_id.value()});
+    slice.pairs.resize(pair_count);
+    for (auto& pair : slice.pairs) {
+      DSJOIN_READ(pair.r_id, read_u64);
+      DSJOIN_READ(pair.s_id, read_u64);
     }
-    msg.queries.push_back(std::move(slice));
   }
-  auto count = in.read_u64();
-  if (!count) return count.status();
-  if (count.value() * 16 != in.remaining()) {
-    return common::Status(common::ErrorCode::kDataLoss,
-                          "pair count mismatches payload size");
-  }
-  msg.pairs.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto r_id = in.read_u64();
-    if (!r_id) return r_id.status();
-    auto s_id = in.read_u64();
-    if (!s_id) return s_id.status();
-    msg.pairs.push_back({r_id.value(), s_id.value()});
-  }
-  return msg;
+  return report;
 }
+
+#undef DSJOIN_READ
 
 std::vector<std::uint8_t> DrainMsg::encode() const {
   common::BufferWriter out(8 + dead_nodes.size() * 4);
@@ -341,7 +258,7 @@ common::Result<DrainMsg> DrainMsg::decode(std::span<const std::uint8_t> bytes) {
   DrainMsg msg;
   auto count = in.read_u32();
   if (!count) return count.status();
-  if (count.value() * 4 != in.remaining()) {
+  if (std::uint64_t{count.value()} * 4 != in.remaining()) {
     return common::Status(common::ErrorCode::kDataLoss,
                           "dead-node count mismatches payload size");
   }

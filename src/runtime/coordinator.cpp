@@ -127,7 +127,7 @@ void Coordinator::poll_members(std::vector<Member>* members,
         break;
       }
       case ControlType::kMetricsReport: {
-        auto report = MetricsReportMsg::decode(message.value().payload);
+        auto report = decode_metrics_report(message.value().payload);
         if (report) {
           member.report = std::move(report).value();
           member.reported = true;
@@ -279,12 +279,10 @@ void Coordinator::finalize(std::vector<Member>& members, RunReport* report) {
   for (Member& member : members) {
     if (!member.alive) ++report->nodes_failed;
     if (!member.reported) continue;
-    node_reports.push_back(std::move(member.report).to_node_report());
+    node_reports.push_back(std::move(member.report));
   }
   core::aggregate_node_reports(node_reports, report);
-  if (options_.verify) {
-    core::verify_against_schedule(options_.config, report->pairs, report);
-  }
+  if (options_.verify) core::verify_against_schedule(options_.config, report);
   core::finalize_derived_metrics(report);
 }
 

@@ -121,9 +121,8 @@ common::Status NodeDaemon::run() {
           }
           {
             std::lock_guard lock(node_mutex_);
-            const auto report = MetricsReportMsg::from_node_report(
+            const auto encoded = encode_metrics_report(
                 host_->report(mesh_->stats_snapshot()));
-            const auto encoded = report.encode();
             auto status = control.send_msg(
                 static_cast<std::uint8_t>(ControlType::kMetricsReport),
                 encoded);

@@ -43,7 +43,10 @@ namespace dsjoin::runtime {
 // a query mask and result payloads a query id, summary blocks may carry
 // query-scope wrappers (tag 'Q'), and METRICS_REPORT carries per-query
 // sections.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+// v7: METRICS_REPORT is core::NodeReport itself: the node-level pair list,
+// received_tuples and bound masses are gone (each pair ships once, in its
+// query's section), and at least one query section is required.
+inline constexpr std::uint32_t kProtocolVersion = 7;
 
 enum class ControlType : std::uint8_t {
   kHello = 1,
@@ -102,33 +105,19 @@ struct HeartbeatMsg {
   static common::Result<HeartbeatMsg> decode(std::span<const std::uint8_t> bytes);
 };
 
-/// METRICS_REPORT: a daemon's final accounting — core::NodeReport in wire
-/// form. The pair list is the wire-metrics contract: every distinct
-/// (r_id, s_id) the node discovered, deduplicated locally and sorted by
+/// METRICS_REPORT: a daemon's final accounting — core::NodeReport itself.
+/// Each query section's pair list holds every distinct (r_id, s_id) the
+/// node discovered for that query, deduplicated locally and sorted by
 /// (r_id, s_id) so the encoding is byte-identical across runs; the
 /// coordinator performs the *global* dedup (a pair may be discovered at
-/// both owners) and computes epsilon against the oracle.
-struct MetricsReportMsg {
-  net::NodeId node_id = 0;
-  std::uint64_t local_tuples = 0;
-  std::uint64_t received_tuples = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t late_summaries = 0;
-  double predicted_missed_mass = 0.0;
-  double predicted_total_mass = 0.0;
-  net::TrafficCounters traffic;  ///< frames this daemon sent, by kind
-  /// Per-query sections in canonical (effective_queries) order — the wire
-  /// form of NodeReport::queries (v6).
-  std::vector<core::QueryNodeReport> queries;
-  std::vector<stream::ResultPair> pairs;
-
-  static MetricsReportMsg from_node_report(core::NodeReport report);
-  /// Moves the pair lists out: the decoded message is spent afterwards.
-  core::NodeReport to_node_report() &&;
-
-  std::vector<std::uint8_t> encode() const;
-  static common::Result<MetricsReportMsg> decode(std::span<const std::uint8_t> bytes);
-};
+/// both owners) and computes epsilon against the oracle. Layout: node_id,
+/// local_tuples, decode_failures, late_summaries, traffic counters, then
+/// a u32 section count (1..kMaxQueries) and per query its id, four frame
+/// counters, two bound masses and a u64-counted pair list. The last
+/// section's pairs must end the payload exactly.
+std::vector<std::uint8_t> encode_metrics_report(const core::NodeReport& report);
+common::Result<core::NodeReport> decode_metrics_report(
+    std::span<const std::uint8_t> bytes);
 
 /// DRAIN: all live daemons have reported kDone; flush in-flight frames.
 /// Dead nodes are listed so daemons do not wait on FIN markers from them

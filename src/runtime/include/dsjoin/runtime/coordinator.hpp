@@ -79,7 +79,7 @@ class Coordinator {
     std::chrono::steady_clock::time_point last_heard;
     bool alive = true;
     bool reported = false;
-    MetricsReportMsg report;
+    core::NodeReport report;
   };
 
   /// Accepts and HELLOs config.nodes daemons. Empty return = error text.

@@ -198,7 +198,7 @@ RunReport run_inprocess_tcp(const core::SystemConfig& config) {
     reports.push_back(host->report(transport.node_stats_snapshot(host->id())));
   }
   core::aggregate_node_reports(reports, &result, /*merge_traffic=*/true);
-  core::verify_against_schedule(config, result.pairs, &result);
+  core::verify_against_schedule(config, &result);
   core::finalize_derived_metrics(&result);
   return result;
 }

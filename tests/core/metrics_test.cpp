@@ -11,6 +11,7 @@
 #include "dsjoin/common/rng.hpp"
 #include "dsjoin/core/experiment.hpp"
 #include "dsjoin/core/node_host.hpp"
+#include "dsjoin/core/schedule.hpp"
 #include "dsjoin/core/system.hpp"
 #include "dsjoin/net/sim_transport.hpp"
 
@@ -322,7 +323,9 @@ TEST(UnionSortedPairs, NodeHostReportIsTheSetUnion) {
   for (std::size_t q = 0; q < collectors.size(); ++q) {
     EXPECT_EQ(report.queries[q].pairs, lists[q]);
   }
-  EXPECT_EQ(report.pairs, to_pairs(union_of(lists)));
+  ExperimentResult result;
+  aggregate_node_reports(std::span(&report, 1), &result, false);
+  EXPECT_EQ(result.pairs, to_pairs(union_of(lists)));
 }
 
 TEST(UnionSortedPairs, AggregatedReportsAreTheSetUnion) {
@@ -348,9 +351,8 @@ TEST(UnionSortedPairs, AggregatedReportsAreTheSetUnion) {
                   });
       }
       by_query[q].push_back(slice.pairs);
+      all.push_back(slice.pairs);
     }
-    report.pairs = random_reports(rng, 400);
-    all.push_back(report.pairs);
   }
   ExperimentResult result;
   aggregate_node_reports(reports, &result, false);
@@ -364,6 +366,44 @@ TEST(UnionSortedPairs, AggregatedReportsAreTheSetUnion) {
     reported += expected.size();
   }
   EXPECT_EQ(result.reported_pairs, reported);
+}
+
+TEST(VerifyAgainstSchedule, NoReportsStillScoresEveryQuery) {
+  // Every daemon died after START: nothing reported, yet each registered
+  // query is scored against its own window, not the legacy scalar width.
+  SystemConfig config;
+  config.nodes = 3;
+  config.tuples_per_node = 200;
+  config.seed = 7;
+  config.join_half_width_s = 6.0;
+  const double widths[] = {1.0, 2.5, 4.0};
+  for (std::uint32_t q = 0; q < 3; ++q) {
+    QuerySpec spec;
+    spec.id = 10 + q;
+    spec.policy = PolicyKind::kRoundRobin;
+    spec.join_half_width_s = widths[q];
+    config.queries.push_back(spec);
+  }
+  ExperimentResult result;
+  aggregate_node_reports({}, &result);
+  verify_against_schedule(config, &result);
+
+  const auto schedule = ArrivalSchedule::build(config);
+  ASSERT_EQ(result.per_query.size(), 3u);
+  std::uint64_t exact = 0;
+  for (std::size_t q = 0; q < 3; ++q) {
+    SCOPED_TRACE(q);
+    const QueryResult& query = result.per_query[q];
+    EXPECT_EQ(query.query_id, config.queries[q].id);
+    EXPECT_EQ(query.exact_pairs, exact_pairs(schedule, widths[q]));
+    EXPECT_EQ(query.reported_pairs, 0u);
+    EXPECT_EQ(query.false_pairs, 0u);
+    exact += query.exact_pairs;
+  }
+  EXPECT_LT(result.per_query[0].exact_pairs, result.per_query[2].exact_pairs);
+  EXPECT_EQ(result.exact_pairs, exact);
+  EXPECT_EQ(result.reported_pairs, 0u);
+  EXPECT_TRUE(result.pairs.empty());
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(DspSystem, MultiWidthQueriesShareStoresWithoutFalsePairs) {
   for (std::size_t q = 0; q < 4; ++q) {
     oracle_counts.push_back(system.oracle().total_pairs(q));
   }
-  verify_against_schedule(config, result.pairs, &result);
+  verify_against_schedule(config, &result);
   for (std::size_t q = 0; q < 4; ++q) {
     SCOPED_TRACE(q);
     EXPECT_EQ(result.per_query[q].false_pairs, 0u);
